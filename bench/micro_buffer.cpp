@@ -31,6 +31,7 @@
 
 #include "bench_json.hpp"
 #include "queueing/input_buffer.hpp"
+#include "util/csv.hpp"
 #include "util/logging.hpp"
 
 namespace {
@@ -66,12 +67,11 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--occupancy")
-            occupancy = std::strtoull(value(), nullptr, 10);
+            occupancy = util::parseInt<std::size_t>(value(), arg);
         else if (arg == "--ops")
-            ops = std::strtoull(value(), nullptr, 10);
+            ops = util::parseInt<std::size_t>(value(), arg);
         else if (arg == "--job-classes")
-            jobClasses = static_cast<queueing::JobId>(
-                std::strtoul(value(), nullptr, 10));
+            jobClasses = util::parseInt<queueing::JobId>(value(), arg);
         else {
             std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
             return 2;

@@ -50,6 +50,7 @@
 #include "bench_json.hpp"
 #include "fleet/fleet.hpp"
 #include "sim/runner.hpp"
+#include "util/csv.hpp"
 #include "util/logging.hpp"
 
 namespace {
@@ -140,17 +141,15 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--devices")
-            devices = std::strtoull(value(), nullptr, 10);
+            devices = util::parseInt<std::size_t>(value(), arg);
         else if (arg == "--horizon-s")
-            horizonSeconds = std::strtoull(value(), nullptr, 10);
+            horizonSeconds = util::parseInt<std::uint64_t>(value(), arg);
         else if (arg == "--shards")
-            shards = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
+            shards = util::parseInt<unsigned>(value(), arg);
         else if (arg == "--slab-s")
-            slabSeconds = std::strtoull(value(), nullptr, 10);
+            slabSeconds = util::parseInt<std::uint64_t>(value(), arg);
         else if (arg == "--jobs")
-            jobs = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
+            jobs = util::parseInt<unsigned>(value(), arg);
         else if (arg == "--verify")
             verify = true;
         else if (arg == "--checkpoint")

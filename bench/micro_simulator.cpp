@@ -28,16 +28,13 @@
  * E[S] memoization dominate; the reported figures track that
  * scenario's cost per run.
  *
- * --engine selects the simulation engine (tick | event) so the two
- * implementations of the same observable timeline can be compared
- * directly; --idle-day replaces the sensing trace with an empty one
- * over a full simulated day (zero arrivals, captures only) — the
- * regime where the event engine's closed-form advance between
- * instants shows its largest advantage over per-tick stepping.
+ * --idle-day replaces the sensing trace with an empty one over a
+ * full simulated day (zero arrivals, captures only): the run
+ * measures pure "waiting" cost, which Device::advance crosses in
+ * closed form between capture instants.
  *
  * Usage: micro_simulator [--jobs N] [--runs N] [--events N]
  *                        [--trace LEVEL] [--ideal] [--idle-day]
- *                        [--engine tick|event]
  */
 
 #include <chrono>
@@ -53,6 +50,7 @@
 #include "obs/trace_sink.hpp"
 #include "sim/ensemble.hpp"
 #include "sim/runner.hpp"
+#include "util/csv.hpp"
 #include "util/logging.hpp"
 
 namespace {
@@ -92,7 +90,6 @@ main(int argc, char **argv)
     obs::ObsLevel traceLevel = obs::ObsLevel::Off;
     bool ideal = false;
     bool idleDay = false;
-    sim::EngineKind engine = sim::EngineKind::Tick;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -105,12 +102,11 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--jobs")
-            jobs = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
+            jobs = util::parseInt<unsigned>(value(), arg);
         else if (arg == "--runs")
-            runs = std::strtoull(value(), nullptr, 10);
+            runs = util::parseInt<std::size_t>(value(), arg);
         else if (arg == "--events")
-            events = std::strtoull(value(), nullptr, 10);
+            events = util::parseInt<std::size_t>(value(), arg);
         else if (arg == "--trace") {
             const auto level = obs::parseObsLevel(value());
             if (!level)
@@ -120,11 +116,6 @@ main(int argc, char **argv)
             ideal = true;
         } else if (arg == "--idle-day") {
             idleDay = true;
-        } else if (arg == "--engine") {
-            const auto kind = sim::parseEngineKind(value());
-            if (!kind)
-                util::fatal("unknown engine (tick | event)");
-            engine = *kind;
         } else {
             std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
             return 2;
@@ -141,12 +132,10 @@ main(int argc, char **argv)
     cfg.eventCount = events;
     cfg.controller = ideal ? sim::ControllerKind::Ideal
                            : sim::ControllerKind::Quetzal;
-    cfg.sim.engine = engine;
     if (idleDay) {
         // Zero-arrival day: an empty sensing trace plus a day-long
         // drain window. Every capture fails the diff filter, so the
-        // run measures pure "waiting" cost — per-tick stepping for
-        // the tick engine, closed-form jumps for the event engine.
+        // run measures pure "waiting" cost.
         cfg.sharedEvents = std::make_shared<const trace::EventTrace>();
         cfg.sim.drainTicks = Tick{24} * 3600 * kTicksPerSecond;
     }
@@ -200,7 +189,6 @@ main(int argc, char **argv)
 
     bench::JsonLine line("micro_simulator");
     line.add("mode", idleDay ? "idle-day" : (ideal ? "ideal" : "quetzal"))
-        .add("engine", sim::engineKindName(engine))
         .add("runs", runs)
         .add("events", events)
         .add("jobs", jobs)

@@ -36,6 +36,7 @@
 #include "obs/trace_io.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/experiment.hpp"
+#include "util/csv.hpp"
 
 namespace {
 
@@ -95,11 +96,11 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--events")
-            eventCount = std::strtoull(value(), nullptr, 10);
+            eventCount = util::parseInt<std::size_t>(value(), arg);
         else if (arg == "--repeats")
-            repeats = std::strtoull(value(), nullptr, 10);
+            repeats = util::parseInt<std::size_t>(value(), arg);
         else if (arg == "--min-speedup")
-            minSpeedup = std::strtod(value(), nullptr);
+            minSpeedup = util::parseDouble(value(), arg);
         else {
             std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
             return 2;

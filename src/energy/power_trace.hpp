@@ -176,9 +176,9 @@ class PowerTrace
     std::vector<Segment> segments;
 };
 
-// Cursor queries are inline: they sit on the per-event hot path of
-// both simulation engines (one valueAt + nextChangeAfter pair per
-// device step), where the call overhead would rival the work.
+// Cursor queries are inline: they sit on the simulator's hot path
+// (one valueAt + nextChangeAfter pair per device step), where the
+// call overhead would rival the work.
 
 inline void
 PowerTrace::Cursor::seek(Tick tick)

@@ -42,15 +42,17 @@ void
 StreamingBtraceSink::enqueue(std::string &&block)
 {
     std::unique_lock<std::mutex> lock(mutex);
-    if (queuedBytes + block.size() > budget && !queue.empty()) {
+    // queuedBytes also counts the block the flusher has popped but not
+    // yet written, so "nothing in flight" is queuedBytes == 0, not an
+    // empty queue.
+    if (queuedBytes > 0 && queuedBytes + block.size() > budget) {
         // Deterministic backpressure: block until the flusher drains
         // below budget. Never drop, never reorder, never exceed it
-        // (beyond a single oversized block on an otherwise empty
-        // queue, which the budget floor in the ctor prevents for
-        // normal chunk sizes).
+        // beyond a single oversized block admitted with nothing else
+        // in flight.
         producerWaits.fetch_add(1, std::memory_order_release);
         producerCv.wait(lock, [this, &block] {
-            return queue.empty() ||
+            return queuedBytes == 0 ||
                 queuedBytes + block.size() <= budget;
         });
     }

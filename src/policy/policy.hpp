@@ -11,8 +11,8 @@
  * competitors from the related work — Zygarde-style deadline-aware
  * EDF and Delgado & Famaey-style energy-optimal lookahead — are
  * others. Policies plug into the unchanged core::Controller through
- * the bridge adapters in bridge.hpp, so both simulation engines and
- * every existing experiment driver run any registered policy without
+ * the bridge adapters in bridge.hpp, so the simulator and every
+ * existing experiment driver run any registered policy without
  * modification.
  */
 

@@ -130,20 +130,14 @@ Device::applyNet(Watts net, Tick span)
 StepPlan
 Device::planStep(Tick now, Tick limit)
 {
-    // The span available inside the current power-trace segment. A
-    // span that ends at the segment boundary (rather than one of the
-    // bounds below) is a PowerSegmentBreak event; one that ends at
-    // `limit` is LimitReached.
-    const Tick segmentEnd =
-        std::min(limit, powerCursor.nextChangeAfter(now));
-    const Tick span = segmentEnd - now;
-    const bool atSegment = segmentEnd < limit;
+    // The span available inside the current power-trace segment,
+    // before the bounds below shorten it.
+    const Tick span =
+        std::min(limit, powerCursor.nextChangeAfter(now)) - now;
 
     StepPlan plan;
     plan.pin = powerCursor.valueAt(now);
     plan.phase = currentPhase;
-    plan.kind = atSegment ? EventKind::PowerSegmentBreak
-                          : EventKind::LimitReached;
 
     switch (currentPhase) {
       case DevicePhase::Idle: {
@@ -152,23 +146,12 @@ Device::planStep(Tick now, Tick limit)
       }
 
       case DevicePhase::Running: {
-        const bool periodic = profile.checkpoint.policy ==
-            app::CheckpointPolicy::Periodic;
-        Tick run = span;
-        if (remainingTaskTicks <= run) {
-            run = remainingTaskTicks;
-            plan.kind = EventKind::TaskCompletion;
-        }
-        if (periodic) {
+        Tick run = std::min(span, remainingTaskTicks);
+        if (profile.checkpoint.policy ==
+            app::CheckpointPolicy::Periodic) {
             // Stop at the next scheduled checkpoint.
-            const Tick toCheckpoint =
-                profile.checkpoint.periodicInterval - progressSinceSave;
-            if (toCheckpoint < run ||
-                (toCheckpoint == run &&
-                 plan.kind != EventKind::TaskCompletion)) {
-                run = toCheckpoint;
-                plan.kind = EventKind::PhaseEnd;
-            }
+            run = std::min(run, profile.checkpoint.periodicInterval -
+                                    progressSinceSave);
         }
         const Watts net = plan.pin - taskPower;
         if (net < 0.0) {
@@ -176,30 +159,18 @@ Device::planStep(Tick now, Tick limit)
             const Joules perTick = energyOver(-net, 1);
             const auto fundable =
                 static_cast<Tick>(std::floor(storage.energy() / perTick));
-            if (fundable < run) {
-                run = fundable;
-                plan.kind = EventKind::StorageThreshold;
-            }
+            run = std::min(run, fundable);
         }
-        if (run <= 0) {
-            // Cannot fund the next tick: power failure (an immediate
-            // transition; the commit consumes no time).
-            plan.run = 0;
-            plan.kind = EventKind::StorageThreshold;
-            return plan;
-        }
-        plan.run = run;
+        // run <= 0: the store cannot fund the next tick, a power
+        // failure (an immediate transition; the commit consumes no
+        // time).
+        plan.run = std::max<Tick>(run, 0);
         return plan;
       }
 
       case DevicePhase::CheckpointSave:
       case DevicePhase::Restoring: {
-        if (remainingPhaseTicks <= span) {
-            plan.run = remainingPhaseTicks;
-            plan.kind = EventKind::PhaseEnd;
-        } else {
-            plan.run = span;
-        }
+        plan.run = std::min(remainingPhaseTicks, span);
         return plan;
       }
 
@@ -209,7 +180,6 @@ Device::planStep(Tick now, Tick limit)
             // Already above the restart threshold: immediate
             // transition to Restoring.
             plan.run = 0;
-            plan.kind = EventKind::StorageThreshold;
             return plan;
         }
         Tick run = span;
@@ -221,10 +191,7 @@ Device::planStep(Tick now, Tick limit)
             const auto needed = static_cast<Tick>(
                 std::ceil(deficit / perTick));
             const Tick bound = std::max<Tick>(needed, 1);
-            if (bound <= run) {
-                run = bound;
-                plan.kind = EventKind::StorageThreshold;
-            }
+            run = std::min(run, bound);
         }
         plan.run = run;
         return plan;

@@ -16,7 +16,7 @@
  * batched: within a (power-trace segment x device phase) span the
  * state evolves linearly, so the device computes the span length in
  * O(1) instead of looping per tick. Tests validate the batched
- * engine against a naive per-tick reference stepper.
+ * advance against a naive per-tick reference stepper.
  */
 
 #ifndef QUETZAL_SIM_DEVICE_HPP
@@ -27,7 +27,6 @@
 #include "app/device_profiles.hpp"
 #include "energy/energy_storage.hpp"
 #include "energy/power_trace.hpp"
-#include "sim/event_queue.hpp"
 #include "util/types.hpp"
 
 namespace quetzal {
@@ -54,16 +53,13 @@ struct DeviceStats
 
 /**
  * One planned constant-power step: how far the device can evolve
- * from `now` without an internal state change, and what kind of
- * event ends the span. Produced by Device::planStep (pure, closed
- * form) and applied by Device::commitStep; the tick and event
- * engines share these primitives, so their energy arithmetic is
- * identical by construction.
+ * from `now` without an internal state change. Produced by
+ * Device::planStep (pure, closed form) and applied by
+ * Device::commitStep; Device::advance is a loop over the two.
  */
 struct StepPlan
 {
     Tick run = 0;          ///< ticks the device evolves linearly
-    EventKind kind = EventKind::LimitReached; ///< what ends the span
     Watts pin = 0.0;       ///< harvested power over the span
     DevicePhase phase = DevicePhase::Idle; ///< phase the plan is for
 };
@@ -109,9 +105,9 @@ class Device
     /**
      * Closed-form plan of the next constant-power span starting at
      * `now`, bounded by `limit`: how many ticks the device evolves
-     * with no internal transition, and the EventKind that ends the
-     * span (task completion, storage-threshold crossing, power-trace
-     * segment breakpoint, phase-timer expiry, or the limit). A plan
+     * with no internal transition (the span ends at a task
+     * completion, storage-threshold crossing, power-trace segment
+     * breakpoint, phase-timer expiry, or the limit). A plan
      * with run == 0 marks an immediate phase transition (e.g.
      * depleted-while-running -> checkpoint save). Pure except for
      * the monotone power-trace cursor.

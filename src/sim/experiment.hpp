@@ -80,7 +80,7 @@ struct ExperimentConfig
     /** PID gains/limits for Quetzal variants when usePid is set. */
     core::PidConfig pid;
     /**
-     * Run-level simulation knobs. Respected fields: engine,
+     * Run-level simulation knobs. Respected fields:
      * capturePeriod, bufferCapacity, drainTicks,
      * executionJitterSigma, debugLog, the checkpoint/resume block
      * (checkpointEveryCaptures, checkpointStop, checkpointSink,

@@ -1,7 +1,9 @@
 #include "sim/runner.hpp"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 #include "util/logging.hpp"
@@ -31,11 +33,14 @@ unsigned
 defaultJobs()
 {
     if (const char *env = std::getenv("QUETZAL_JOBS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed > 0)
+        char *end = nullptr;
+        errno = 0;
+        const long parsed = std::strtol(env, &end, 10);
+        if (end != env && *end == '\0' && errno != ERANGE &&
+            parsed > 0 && parsed <= std::numeric_limits<unsigned>::max())
             return static_cast<unsigned>(parsed);
-        util::warn(util::msg("ignoring non-positive QUETZAL_JOBS: ",
-                             env));
+        util::warn(util::msg("ignoring QUETZAL_JOBS (not a positive "
+                             "integer): ", env));
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;

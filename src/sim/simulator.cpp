@@ -82,9 +82,7 @@ Simulator::run()
 
     nextCheckpointAtCaptures = cfg.checkpointEveryCaptures;
 
-    const Tick now = cfg.engine == EngineKind::Event
-        ? runEvent(horizon, hardCap)
-        : runTick(horizon, hardCap);
+    const Tick now = runTick(horizon, hardCap);
 
     if (stoppedAtCheckpoint_) {
         // The run was cut at a checkpoint boundary on request: skip
@@ -260,22 +258,6 @@ Simulator::runTick(Tick horizon, Tick hardCap)
         }
     }
     return now;
-}
-
-std::optional<EngineKind>
-parseEngineKind(const std::string &name)
-{
-    if (name == "tick")
-        return EngineKind::Tick;
-    if (name == "event")
-        return EngineKind::Event;
-    return std::nullopt;
-}
-
-const char *
-engineKindName(EngineKind engine)
-{
-    return engine == EngineKind::Event ? "event" : "tick";
 }
 
 void

@@ -42,28 +42,9 @@ class FaultInjector;
 }
 namespace sim {
 
-/**
- * Which stepper drives the run. Both produce byte-identical
- * observable timelines (metrics, obs/trace streams, RNG consumption);
- * the tick engine is the differential-test reference, the event
- * engine the production path.
- */
-enum class EngineKind {
-    Tick,  ///< fixed-increment reference loop (simulator.cpp)
-    Event, ///< discrete-event queue engine (event_core.cpp)
-};
-
-/** Parse an engine name ("tick" / "event"); nullopt when unknown. */
-std::optional<EngineKind> parseEngineKind(const std::string &name);
-
-/** Canonical name of an engine kind. */
-const char *engineKindName(EngineKind engine);
-
 /** Run-level knobs. */
 struct SimulationConfig
 {
-    /** Which stepper executes the run. */
-    EngineKind engine = EngineKind::Tick;
     Tick capturePeriod = 1000;      ///< paper: 1 FPS
     std::size_t bufferCapacity = 10; ///< paper Table 1: 10 images
     /** Model the paper's infinite-memory Ideal baseline. */
@@ -190,24 +171,16 @@ class Simulator
     };
 
     /**
-     * The fixed-increment reference stepper (simulator.cpp): the
-     * historical main loop, advancing capture-to-capture and
-     * completion-to-completion. Returns the final simulated tick.
+     * The fixed-increment main loop: advances capture-to-capture and
+     * completion-to-completion, letting Device::advance cross the
+     * idle and recharge spans in between in closed form. Returns the
+     * final simulated tick.
      */
     Tick runTick(Tick horizon, Tick hardCap);
 
     /**
-     * The discrete-event stepper (event_core.cpp): a monotone event
-     * queue over capture arrivals, task completions, storage
-     * threshold crossings, power-trace segment breakpoints and fault
-     * window edges. Must reproduce runTick()'s observable timeline
-     * exactly. Returns the final simulated tick.
-     */
-    Tick runEvent(Tick horizon, Tick hardCap);
-
-    /**
      * @name Checkpoint plumbing (sim/checkpoint.cpp)
-     * Both engine loops call checkpointDue() at the top of every
+     * The main loop calls checkpointDue() at the top of every
      * system instant and saveCheckpoint() when it fires; a resuming
      * run calls restoreCheckpoint() once before its first instant.
      * The loop-local clocks travel by reference because they are the

@@ -1,10 +1,15 @@
 #include "util/csv.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "util/logging.hpp"
 
@@ -84,24 +89,63 @@ CsvWriter::row(const std::vector<double> &fields)
 }
 
 double
-parseDouble(const std::string &field)
+parseDouble(const std::string &field, const std::string &what)
 {
     char *end = nullptr;
+    errno = 0;
     const double value = std::strtod(field.c_str(), &end);
     if (end == field.c_str() || *end != '\0')
-        fatal(msg("malformed numeric CSV field: '", field, "'"));
+        fatal(msg("malformed number for ", what, ": '", field, "'"));
+    // ERANGE also flags underflow, which rounds to a usable value.
+    if (errno == ERANGE && std::abs(value) == HUGE_VAL)
+        fatal(msg("out-of-range number for ", what, ": '", field, "'"));
     return value;
 }
 
-long long
-parseInt(const std::string &field)
+template <typename Int>
+Int
+parseInt(const std::string &field, const std::string &what)
 {
+    using Limits = std::numeric_limits<Int>;
+    const char *text = field.c_str();
     char *end = nullptr;
-    const long long value = std::strtoll(field.c_str(), &end, 10);
-    if (end == field.c_str() || *end != '\0')
-        fatal(msg("malformed integer CSV field: '", field, "'"));
+    errno = 0;
+    bool inRange = false;
+    Int value{};
+    if constexpr (std::is_signed_v<Int>) {
+        const long long parsed = std::strtoll(text, &end, 10);
+        inRange = errno != ERANGE && parsed >= Limits::min() &&
+            parsed <= Limits::max();
+        value = static_cast<Int>(parsed);
+    } else {
+        // strtoull negates "-1" into a huge value instead of failing.
+        const char *first = text + std::strspn(text, " \t\n\v\f\r");
+        if (*first == '-')
+            fatal(msg("negative value for ", what, ": '", field,
+                      "' (expected a non-negative integer)"));
+        const unsigned long long parsed = std::strtoull(text, &end, 10);
+        inRange = errno != ERANGE && parsed <= Limits::max();
+        value = static_cast<Int>(parsed);
+    }
+    if (end == text || *end != '\0')
+        fatal(msg("malformed integer for ", what, ": '", field, "'"));
+    if (!inRange)
+        fatal(msg("out-of-range integer for ", what, ": '", field,
+                  "' (limits ", +Limits::min(), "..", +Limits::max(),
+                  ")"));
     return value;
 }
+
+template int parseInt<int>(const std::string &, const std::string &);
+template long parseInt<long>(const std::string &, const std::string &);
+template long long parseInt<long long>(const std::string &,
+                                       const std::string &);
+template unsigned parseInt<unsigned>(const std::string &,
+                                     const std::string &);
+template unsigned long parseInt<unsigned long>(const std::string &,
+                                               const std::string &);
+template unsigned long long
+parseInt<unsigned long long>(const std::string &, const std::string &);
 
 } // namespace util
 } // namespace quetzal

@@ -50,11 +50,24 @@ class CsvWriter
     std::ostream &out;
 };
 
-/** Parse a field as double; calls fatal() on malformed input. */
-double parseDouble(const std::string &field);
+/**
+ * Parse `field` as a double. Calls fatal(), naming `what` (a CLI
+ * flag, or "CSV field"), when the text is empty, carries trailing
+ * junk, or overflows a double.
+ */
+double parseDouble(const std::string &field,
+                   const std::string &what = "CSV field");
 
-/** Parse a field as int64; calls fatal() on malformed input. */
-long long parseInt(const std::string &field);
+/**
+ * Parse `field` as a base-10 integer of type Int. Calls fatal(),
+ * naming `what` (a CLI flag, or "CSV field"), when the text is empty,
+ * carries trailing junk, falls outside Int's range, or is negative
+ * and Int is unsigned. Instantiated for the standard signed and
+ * unsigned int, long and long long types.
+ */
+template <typename Int = long long>
+Int parseInt(const std::string &field,
+             const std::string &what = "CSV field");
 
 } // namespace util
 } // namespace quetzal

@@ -152,9 +152,9 @@ TEST(FleetSpec, SweepAxesCannotCombineWithFleet)
 
 TEST(FleetSpec, EngineOverridesAreRejectedWithTheirJsonPath)
 {
-    // The scheduled-PR bugfix: an "engine" override combined with a
-    // "fleet" block used to be silently ignored; it must be a
-    // diagnostic anchored to the override's own JSON path.
+    // There is no "engine" field: the key gets the parser's named
+    // unknown-field diagnostic, anchored to the override's own JSON
+    // path, whether or not a "fleet" block is present.
     const auto inDefaults = parseScenarioText(R"({
       "name": "bad",
       "defaults": {"engine": "tick"},
@@ -163,7 +163,7 @@ TEST(FleetSpec, EngineOverridesAreRejectedWithTheirJsonPath)
     })");
     EXPECT_FALSE(inDefaults.ok());
     EXPECT_TRUE(hasError(inDefaults, "defaults.engine",
-                         "do not apply to the fleet engine"))
+                         "unknown experiment field"))
         << describeErrors(inDefaults);
 
     const auto inPopulation = parseScenarioText(R"({
@@ -173,7 +173,7 @@ TEST(FleetSpec, EngineOverridesAreRejectedWithTheirJsonPath)
     })");
     EXPECT_FALSE(inPopulation.ok());
     EXPECT_TRUE(hasError(inPopulation, "populations[0].engine",
-                         "do not apply to the fleet engine"))
+                         "unknown experiment field"))
         << describeErrors(inPopulation);
 }
 

@@ -7,13 +7,14 @@
  *    pre-refactor controller (ControllerKind::Quetzal) byte-for-byte:
  *    identical metrics and an identical full-telemetry JSONL stream
  *    on fig09-, fig12- and fault_sweep-style configurations.
- *  - Every registered policy produces byte-identical telemetry on
- *    the tick and event engines, and across --jobs 1 / --jobs 4
- *    ensemble execution.
+ *  - Every registered policy produces byte-identical telemetry
+ *    across --jobs 1 / --jobs 4 ensemble execution, and resumes
+ *    from a mid-run checkpoint into the straight run's suffix.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -125,29 +126,6 @@ TEST(PolicyEquivalence, PortedIncumbentMatchesLegacyControllerExactly)
     }
 }
 
-TEST(PolicyEquivalence, EveryPolicyIsByteIdenticalAcrossEngines)
-{
-    for (const std::string &name : registeredPolicyNames()) {
-        SCOPED_TRACE(name);
-        sim::ExperimentConfig config;
-        config.policyName = name;
-        config.eventCount = 30;
-        config.seed = 42;
-        config.sim.bufferCapacity = 8;
-
-        sim::ExperimentConfig tick = config;
-        tick.sim.engine = sim::EngineKind::Tick;
-        sim::ExperimentConfig event = config;
-        event.sim.engine = sim::EngineKind::Event;
-
-        expectIdenticalMetrics(sim::runExperiment(tick),
-                               sim::runExperiment(event));
-        const std::string tickTrace = traceOf(tick);
-        ASSERT_FALSE(tickTrace.empty());
-        EXPECT_EQ(tickTrace, traceOf(event));
-    }
-}
-
 TEST(PolicyEquivalence, EveryPolicyIsByteIdenticalAcrossJobCounts)
 {
     // One run per registered policy, executed as an ensemble on one
@@ -187,6 +165,62 @@ TEST(PolicyEquivalence, EveryPolicyIsByteIdenticalAcrossJobCounts)
         SCOPED_TRACE(names[i]);
         ASSERT_FALSE(serial[i].empty());
         EXPECT_EQ(serial[i], parallel[i]);
+    }
+}
+
+TEST(PolicyEquivalence, EveryPolicyResumesFromACheckpoint)
+{
+    // Each policy's decision state crosses a mid-run checkpoint: the
+    // resumed run must finish with the straight run's metrics and
+    // replay exactly its telemetry from the boundary on.
+    for (const std::string &name : registeredPolicyNames()) {
+        SCOPED_TRACE(name);
+        sim::ExperimentConfig config;
+        config.policyName = name;
+        config.eventCount = 30;
+        config.seed = 42;
+        config.sim.bufferCapacity = 8;
+        config.obsLevel = obs::ObsLevel::Full;
+
+        obs::VectorSink straightSink;
+        sim::ExperimentConfig straightCfg = config;
+        straightCfg.obsSink = &straightSink;
+        const sim::Metrics straight = sim::runExperiment(straightCfg);
+
+        // The second checkpoint's state, and how many events the
+        // saving run had emitted when it fired (the exact split).
+        std::string state;
+        std::size_t eventsBefore = 0;
+        std::size_t saves = 0;
+        obs::VectorSink saveSink;
+        sim::ExperimentConfig saveCfg = config;
+        saveCfg.obsSink = &saveSink;
+        saveCfg.sim.checkpointEveryCaptures = 20;
+        saveCfg.sim.checkpointSink = [&](std::string &&blob, Tick) {
+            if (++saves == 2) {
+                state = std::move(blob);
+                eventsBefore = saveSink.events().size();
+            }
+        };
+        (void)sim::runExperiment(saveCfg);
+        ASSERT_GE(saves, 2u);
+
+        obs::VectorSink resumedSink;
+        sim::ExperimentConfig resumeCfg = config;
+        resumeCfg.obsSink = &resumedSink;
+        resumeCfg.sim.resumeState = &state;
+        expectIdenticalMetrics(straight, sim::runExperiment(resumeCfg));
+
+        ASSERT_LT(eventsBefore, straightSink.events().size());
+        const std::vector<obs::Event> suffix(
+            straightSink.events().begin() +
+                static_cast<std::ptrdiff_t>(eventsBefore),
+            straightSink.events().end());
+        std::ostringstream expected;
+        obs::writeJsonl(expected, suffix, 0);
+        std::ostringstream actual;
+        obs::writeJsonl(actual, resumedSink.events(), 0);
+        EXPECT_EQ(expected.str(), actual.str());
     }
 }
 

@@ -151,6 +151,29 @@ TEST(ScenarioSpecParse, RejectsUnknownFieldWithPath)
     EXPECT_TRUE(contains(paths, "populations[0].frobnicate"));
 }
 
+TEST(ScenarioSpecParse, EngineIsAnUnknownExperimentField)
+{
+    // The simulator has one stepper, so there is no "engine" knob in
+    // the defaults, in a population, or as a sweep axis.
+    const Expected<ScenarioSpec> result = parseScenarioText(R"({
+      "name": "x",
+      "defaults": {"engine": "event"},
+      "populations": [{"name": "QZ", "engine": "tick"}],
+      "sweep": {"axes": [{"field": "engine", "values": ["tick"]}]}
+    })");
+    ASSERT_FALSE(result.ok());
+    std::vector<std::string> paths;
+    for (const SpecError &error : result.errors) {
+        paths.push_back(error.path);
+        EXPECT_NE(error.describe().find("unknown experiment field"),
+                  std::string::npos)
+            << error.describe();
+    }
+    EXPECT_TRUE(contains(paths, "defaults.engine"));
+    EXPECT_TRUE(contains(paths, "populations[0].engine"));
+    EXPECT_TRUE(contains(paths, "sweep.axes[0].field"));
+}
+
 TEST(ScenarioSpecParse, BadEnumDiagnosticListsAllowedValues)
 {
     const Expected<ScenarioSpec> result = parseScenarioText(R"({

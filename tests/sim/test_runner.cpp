@@ -2,10 +2,12 @@
  * @file
  * Tests for the parallel experiment engine: the determinism contract
  * (bit-identical results for every thread count), submission-order
- * results, and the shared-trace cache.
+ * results, the shared-trace cache and the QUETZAL_JOBS default.
  */
 
 #include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -149,6 +151,55 @@ TEST(ParallelRunner, DefaultJobsIsPositive)
     EXPECT_GE(defaultJobs(), 1u);
     EXPECT_GE(ParallelRunner().jobs(), 1u);
     EXPECT_EQ(ParallelRunner(3).jobs(), 3u);
+}
+
+/**
+ * defaultJobs() with QUETZAL_JOBS set to `value` (unset for nullptr,
+ * the hardware fallback); the caller's environment is restored.
+ */
+unsigned
+defaultJobsWith(const char *value)
+{
+    const char *previous = std::getenv("QUETZAL_JOBS");
+    const std::string saved = previous != nullptr ? previous : "";
+    if (value != nullptr)
+        ::setenv("QUETZAL_JOBS", value, 1);
+    else
+        ::unsetenv("QUETZAL_JOBS");
+    const unsigned jobs = defaultJobs();
+    if (previous != nullptr)
+        ::setenv("QUETZAL_JOBS", saved.c_str(), 1);
+    else
+        ::unsetenv("QUETZAL_JOBS");
+    return jobs;
+}
+
+TEST(ParallelRunner, QuetzalJobsSetsTheDefault)
+{
+    EXPECT_EQ(defaultJobsWith("3"), 3u);
+    EXPECT_EQ(defaultJobsWith("1"), 1u);
+}
+
+TEST(ParallelRunner, MalformedQuetzalJobsIsIgnored)
+{
+    // Junk never half-parses into a job count ("1000x" is not 1000).
+    const unsigned fallback = defaultJobsWith(nullptr);
+    for (const char *junk : {"1000x", "abc", "", "1000.5"}) {
+        SCOPED_TRACE(junk);
+        EXPECT_EQ(defaultJobsWith(junk), fallback);
+    }
+}
+
+TEST(ParallelRunner, OutOfRangeQuetzalJobsIsIgnored)
+{
+    // Non-positive and overflowing values take the same warn-and-
+    // ignore path; none wraps into a huge worker count.
+    const unsigned fallback = defaultJobsWith(nullptr);
+    for (const char *bad : {"0", "-2", "99999999999",
+                            "99999999999999999999"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_EQ(defaultJobsWith(bad), fallback);
+    }
 }
 
 } // namespace

@@ -1,8 +1,11 @@
 /**
  * @file
- * Tests for the CSV reader/writer.
+ * Tests for the CSV reader/writer and the checked number parsers.
  */
 
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -55,6 +58,40 @@ TEST(Csv, ParseNumbers)
 {
     EXPECT_DOUBLE_EQ(parseDouble("3.25e-2"), 0.0325);
     EXPECT_EQ(parseInt("-42"), -42);
+    EXPECT_EQ(parseInt<int>("2147483647", "--cells"), 2147483647);
+    EXPECT_EQ(parseInt<unsigned long long>("18446744073709551615",
+                                           "--seed"),
+              18446744073709551615ull);
+    EXPECT_EQ(parseInt<unsigned>("0", "--jobs"), 0u);
+}
+
+TEST(Csv, ParseIntAcceptsEveryTargetsFullRange)
+{
+    // Each instantiation accepts exactly its own limits, both ends.
+    EXPECT_EQ(parseInt<int>("-2147483648"),
+              std::numeric_limits<int>::min());
+    EXPECT_EQ(parseInt<long>("-9223372036854775808"),
+              std::numeric_limits<long>::min());
+    EXPECT_EQ(parseInt<long>("9223372036854775807"),
+              std::numeric_limits<long>::max());
+    EXPECT_EQ(parseInt<long long>("-9223372036854775808"),
+              std::numeric_limits<long long>::min());
+    EXPECT_EQ(parseInt<unsigned>("4294967295"),
+              std::numeric_limits<unsigned>::max());
+    EXPECT_EQ(parseInt<unsigned long>("18446744073709551615"),
+              std::numeric_limits<unsigned long>::max());
+    EXPECT_EQ(parseInt<unsigned long long>("0"), 0u);
+    EXPECT_EQ(parseInt<int>("+12"), 12);
+}
+
+TEST(Csv, ParseDoubleAcceptsUnderflow)
+{
+    // strtod flags underflow with ERANGE too, but the rounded value
+    // is usable, so only overflow to HUGE_VAL is fatal.
+    const double tiny = parseDouble("1e-400", "--floor");
+    EXPECT_GE(tiny, 0.0);
+    EXPECT_LT(tiny, 1e-300);
+    EXPECT_LE(parseDouble("-1e-400", "--floor"), 0.0);
 }
 
 TEST(CsvDeathTest, MalformedNumberIsFatal)
@@ -62,7 +99,67 @@ TEST(CsvDeathTest, MalformedNumberIsFatal)
     EXPECT_EXIT(parseDouble("12x"), ::testing::ExitedWithCode(1),
                 "malformed");
     EXPECT_EXIT(parseInt("4.5"), ::testing::ExitedWithCode(1),
-                "malformed");
+                "malformed integer for CSV field: '4.5'");
+    EXPECT_EXIT(parseDouble("", "--threshold"),
+                ::testing::ExitedWithCode(1),
+                "malformed number for --threshold");
+}
+
+TEST(CsvDeathTest, TrailingJunkIsFatal)
+{
+    EXPECT_EXIT(parseInt<std::uint64_t>("12x", "--seed"),
+                ::testing::ExitedWithCode(1),
+                "malformed integer for --seed: '12x'");
+    EXPECT_EXIT(parseInt<std::size_t>("abc", "--events"),
+                ::testing::ExitedWithCode(1),
+                "malformed integer for --events: 'abc'");
+    EXPECT_EXIT(parseDouble("1.5%", "--threshold"),
+                ::testing::ExitedWithCode(1),
+                "malformed number for --threshold: '1.5%'");
+}
+
+TEST(CsvDeathTest, OverflowIsFatal)
+{
+    EXPECT_EXIT(parseInt<std::size_t>("99999999999999999999", "--events"),
+                ::testing::ExitedWithCode(1),
+                "out-of-range integer for --events");
+    EXPECT_EXIT(parseInt("99999999999999999999"),
+                ::testing::ExitedWithCode(1),
+                "out-of-range integer for CSV field");
+    EXPECT_EXIT(parseInt("-99999999999999999999"),
+                ::testing::ExitedWithCode(1), "out-of-range");
+    // In range for the parse, out of range for the narrower target.
+    EXPECT_EXIT(parseInt<int>("2147483648", "--cells"),
+                ::testing::ExitedWithCode(1),
+                "out-of-range integer for --cells");
+    EXPECT_EXIT(parseInt<unsigned>("4294967296", "--jobs"),
+                ::testing::ExitedWithCode(1),
+                "out-of-range integer for --jobs");
+    EXPECT_EXIT(parseDouble("1e999", "--peak"),
+                ::testing::ExitedWithCode(1),
+                "out-of-range number for --peak");
+}
+
+TEST(CsvDeathTest, BelowASignedTargetIsFatal)
+{
+    // Below the target's minimum, whether only the narrower target
+    // (int) or the parse itself (long long) underflows.
+    EXPECT_EXIT(parseInt<int>("-2147483649", "--cells"),
+                ::testing::ExitedWithCode(1),
+                "out-of-range integer for --cells");
+    EXPECT_EXIT(parseInt<long long>("-9223372036854775809", "--offset"),
+                ::testing::ExitedWithCode(1),
+                "out-of-range integer for --offset");
+}
+
+TEST(CsvDeathTest, NegativeForAnUnsignedTargetIsFatal)
+{
+    EXPECT_EXIT(parseInt<unsigned>("-1", "--jobs"),
+                ::testing::ExitedWithCode(1),
+                "negative value for --jobs: '-1'");
+    EXPECT_EXIT(parseInt<std::uint64_t>(" -5", "--seed"),
+                ::testing::ExitedWithCode(1),
+                "negative value for --seed");
 }
 
 } // namespace

@@ -53,6 +53,7 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "obs/btrace.hpp"
@@ -64,6 +65,7 @@
 #include "sim/ensemble.hpp"
 #include "sim/experiment.hpp"
 #include "sim/runner.hpp"
+#include "util/csv.hpp"
 #include "util/logging.hpp"
 
 namespace {
@@ -105,7 +107,6 @@ usage(const char *argv0, bool requested)
         "  --env ENV              more-crowded|crowded|less-crowded|"
         "msp430\n"
         "  --device DEV           apollo4|msp430\n"
-        "  --engine KIND          tick|event\n"
         "  --events N             sensing events per run\n"
         "  --seed N               master RNG seed\n"
         "  --buffer N             input-buffer capacity\n"
@@ -337,6 +338,12 @@ main(int argc, char **argv)
                 usage(argv[0], false);
             return argv[++i];
         };
+        // Parse the flag's value into `target`; a malformed or
+        // out-of-range value is fatal and names the flag.
+        auto number = [&](auto &target) {
+            target = util::parseInt<std::decay_t<decltype(target)>>(
+                value(), arg);
+        };
         auto configArg = [&]() {
             if (configFlag.empty())
                 configFlag = arg;
@@ -380,53 +387,37 @@ main(int argc, char **argv)
         } else if (arg == "--events") {
             // Shared: run-matrix event count, and the scenario smoke
             // override — deliberately not a configArg().
-            cfg.eventCount = std::strtoull(value().c_str(), nullptr, 10);
+            number(cfg.eventCount);
             eventsSet = true;
         } else if (arg == "--seed") {
             configArg();
-            cfg.seed = std::strtoull(value().c_str(), nullptr, 10);
+            number(cfg.seed);
         } else if (arg == "--buffer") {
             configArg();
-            cfg.sim.bufferCapacity =
-                std::strtoull(value().c_str(), nullptr, 10);
+            number(cfg.sim.bufferCapacity);
         } else if (arg == "--cells") {
             configArg();
-            cfg.harvesterCells =
-                static_cast<int>(std::strtol(value().c_str(), nullptr,
-                                             10));
+            number(cfg.harvesterCells);
         } else if (arg == "--capture-period-ms") {
             configArg();
-            cfg.sim.capturePeriod = std::strtoll(value().c_str(), nullptr,
-                                             10);
+            number(cfg.sim.capturePeriod);
         } else if (arg == "--threshold") {
             configArg();
-            cfg.bufferThreshold =
-                std::strtod(value().c_str(), nullptr) / 100.0;
+            cfg.bufferThreshold = util::parseDouble(value(), arg) / 100.0;
         } else if (arg == "--arrival-window") {
             configArg();
-            cfg.system.arrivalWindow = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            number(cfg.system.arrivalWindow);
         } else if (arg == "--task-window") {
             configArg();
-            cfg.system.taskWindow = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            number(cfg.system.taskWindow);
         } else if (arg == "--power-trace") {
             configArg();
             cfg.powerTraceCsv = value();
-        } else if (arg == "--engine") {
-            configArg();
-            const std::string name = value();
-            const auto engine = sim::parseEngineKind(name);
-            if (!engine)
-                util::fatal(util::msg("unknown engine: ", name,
-                                      " (expected tick or event)"));
-            cfg.sim.engine = *engine;
         } else if (arg == "--ensemble") {
             ensembleFlag = arg;
-            ensembleRuns = std::strtoull(value().c_str(), nullptr, 10);
+            number(ensembleRuns);
         } else if (arg == "--jobs") {
-            request.jobs = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            number(request.jobs);
         } else if (arg == "--trace-out") {
             traceFlag = arg;
             traceOut = value();
@@ -447,18 +438,17 @@ main(int argc, char **argv)
         } else if (arg == "--telemetry-cost-s") {
             configArg();
             cfg.sim.telemetrySecondsPerEvent =
-                std::strtod(value().c_str(), nullptr);
+                util::parseDouble(value(), arg);
         } else if (arg == "--telemetry-cost-j") {
             configArg();
             cfg.sim.telemetryEnergyPerEvent =
-                std::strtod(value().c_str(), nullptr);
+                util::parseDouble(value(), arg);
         } else if (arg == "--checkpoint") {
             checkpointFlag = checkpointFlag.empty() ? arg : checkpointFlag;
             checkpointOut = value();
         } else if (arg == "--checkpoint-every") {
             checkpointFlag = checkpointFlag.empty() ? arg : checkpointFlag;
-            checkpointEvery =
-                std::strtoull(value().c_str(), nullptr, 10);
+            number(checkpointEvery);
             if (checkpointEvery == 0)
                 util::fatal("--checkpoint-every must be positive");
         } else if (arg == "--checkpoint-stop") {
@@ -472,14 +462,12 @@ main(int argc, char **argv)
             request.fleetCheckpointPath = value();
         } else if (arg == "--fleet-checkpoint-every") {
             fleetCkptFlag = fleetCkptFlag.empty() ? arg : fleetCkptFlag;
-            request.fleetCheckpointEverySlabs = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            number(request.fleetCheckpointEverySlabs);
             if (request.fleetCheckpointEverySlabs == 0)
                 util::fatal("--fleet-checkpoint-every must be positive");
         } else if (arg == "--fleet-stop-after-s") {
             fleetCkptFlag = fleetCkptFlag.empty() ? arg : fleetCkptFlag;
-            request.fleetStopAfterSeconds =
-                std::strtoll(value().c_str(), nullptr, 10);
+            number(request.fleetStopAfterSeconds);
             if (request.fleetStopAfterSeconds <= 0)
                 util::fatal("--fleet-stop-after-s must be positive");
         } else if (arg == "--fleet-resume") {

@@ -21,6 +21,7 @@
 #include "energy/harvester.hpp"
 #include "energy/solar_model.hpp"
 #include "trace/event_generator.hpp"
+#include "util/csv.hpp"
 #include "util/logging.hpp"
 
 namespace {
@@ -62,20 +63,17 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--seed")
-            seed = std::strtoull(value().c_str(), nullptr, 10);
+            seed = util::parseInt<std::uint64_t>(value(), arg);
         else if (arg == "--days")
-            days = std::strtod(value().c_str(), nullptr);
+            days = util::parseDouble(value(), arg);
         else if (arg == "--cells")
-            cells = static_cast<int>(
-                std::strtol(value().c_str(), nullptr, 10));
+            cells = util::parseInt<int>(value(), arg);
         else if (arg == "--peak")
-            solarCfg.peakIrradiance = std::strtod(value().c_str(),
-                                                  nullptr);
+            solarCfg.peakIrradiance = util::parseDouble(value(), arg);
         else if (arg == "--floor")
-            solarCfg.ambientFloor = std::strtod(value().c_str(),
-                                                nullptr);
+            solarCfg.ambientFloor = util::parseDouble(value(), arg);
         else if (arg == "--events")
-            events = std::strtoull(value().c_str(), nullptr, 10);
+            events = util::parseInt<std::size_t>(value(), arg);
         else if (arg == "--env") {
             const std::string env = value();
             if (env == "more-crowded")

@@ -36,6 +36,7 @@
 
 #include "obs/metrics_registry.hpp"
 #include "obs/trace_cursor.hpp"
+#include "util/csv.hpp"
 #include "util/logging.hpp"
 
 namespace {
@@ -81,7 +82,7 @@ main(int argc, char **argv)
             if (i + 1 >= argc)
                 usage(argv[0]);
             filterRun = true;
-            runFilter = std::strtoull(argv[++i], nullptr, 10);
+            runFilter = util::parseInt<std::uint64_t>(argv[++i], arg);
         } else if (arg == "--per-run") {
             perRun = true;
         } else if (arg == "--kinds") {
