@@ -1,10 +1,9 @@
 /**
  * @file
- * Microbenchmarks of the policy layer: the bridged incumbent
- * (registry "sjf-ibo" behind the SchedulingPolicy interface) against
- * the inlined legacy controller on the same loaded buffer — the
- * per-decision cost of the interface — plus each zoo policy's
- * rank+admit step through a PolicyContext.
+ * Microbenchmarks of the policy layer: one full Controller::selectJob
+ * decision (Alg. 1 select + Alg. 2 adapt) of each registry
+ * controller on the same loaded buffer. The primary is "sjf-ibo",
+ * the paper's pair as the tournament and `--policy` run it.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,8 +11,6 @@
 #include "gbench_json.hpp"
 
 #include "app/person_detection.hpp"
-#include "baselines/controllers.hpp"
-#include "core/service_time.hpp"
 #include "policy/registry.hpp"
 
 namespace {
@@ -44,83 +41,49 @@ struct LoadedSystem
     }
 };
 
-/** Full decision through the bridges: the tournament's hot path. */
+/** One selectJob round of the named registry controller. */
 void
-BM_PolicyBridgeSelectJob(benchmark::State &state)
+selectJob(benchmark::State &state, const char *name)
 {
     LoadedSystem rig;
-    auto controller = policy::makePolicyController("sjf-ibo");
-    const core::RuntimeObservation runtime{0.05, 0.1, 7000};
-    double power = 5e-3;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(controller->selectJob(
-            rig.system, rig.buffer, power, runtime));
-        power = power < 50e-3 ? power + 1e-3 : 5e-3;
-    }
-}
-BENCHMARK(BM_PolicyBridgeSelectJob);
-
-/** The same decision on the pre-refactor inlined controller. */
-void
-BM_LegacyInlineSelectJob(benchmark::State &state)
-{
-    LoadedSystem rig;
-    auto controller = baselines::makeQuetzalVariantController(
-        baselines::SchedulerKind::EnergyAwareSjf);
-    double power = 5e-3;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            controller->selectJob(rig.system, rig.buffer, power));
-        power = power < 50e-3 ? power + 1e-3 : 5e-3;
-    }
-}
-BENCHMARK(BM_LegacyInlineSelectJob);
-
-/** One rank+admit round of a zoo policy through a PolicyContext. */
-void
-rankAdmit(benchmark::State &state, const char *name)
-{
-    LoadedSystem rig;
-    const auto policy = policy::makePolicy(name);
-    const core::EnergyAwareEstimator estimator(/*useCircuit=*/true);
+    const auto controller = policy::makePolicyController(name);
     double watts = 5e-3;
     Tick now = 7000;
     for (auto _ : state) {
-        const core::PowerReading power =
-            rig.system.measureInputPower(watts);
-        const policy::PolicyContext ctx{
-            rig.system, rig.buffer, estimator, power, 0.0,
-            {0.05, 0.1, now}};
-        const auto decision = policy->rank(ctx);
-        if (decision) {
-            benchmark::DoNotOptimize(policy->admit(
-                ctx, rig.system.job(decision->jobId)));
-        }
+        benchmark::DoNotOptimize(controller->selectJob(
+            rig.system, rig.buffer, watts, {0.05, 0.1, now}));
         watts = watts < 50e-3 ? watts + 1e-3 : 5e-3;
         now += 1000;
     }
 }
 
 void
-BM_ZygardeRankAdmit(benchmark::State &state)
+BM_PolicySelectJob(benchmark::State &state)
 {
-    rankAdmit(state, "zygarde");
+    selectJob(state, "sjf-ibo");
 }
-BENCHMARK(BM_ZygardeRankAdmit);
+BENCHMARK(BM_PolicySelectJob);
 
 void
-BM_LookaheadRankAdmit(benchmark::State &state)
+BM_ZygardeSelectJob(benchmark::State &state)
 {
-    rankAdmit(state, "delgado-famaey");
+    selectJob(state, "zygarde");
 }
-BENCHMARK(BM_LookaheadRankAdmit);
+BENCHMARK(BM_ZygardeSelectJob);
 
 void
-BM_GreedyFcfsRankAdmit(benchmark::State &state)
+BM_LookaheadSelectJob(benchmark::State &state)
 {
-    rankAdmit(state, "greedy-fcfs");
+    selectJob(state, "delgado-famaey");
 }
-BENCHMARK(BM_GreedyFcfsRankAdmit);
+BENCHMARK(BM_LookaheadSelectJob);
+
+void
+BM_GreedyFcfsSelectJob(benchmark::State &state)
+{
+    selectJob(state, "greedy-fcfs");
+}
+BENCHMARK(BM_GreedyFcfsSelectJob);
 
 } // namespace
 
@@ -128,5 +91,5 @@ int
 main(int argc, char **argv)
 {
     return quetzal::bench::quetzalGbenchMain(
-        argc, argv, "micro_policy", "BM_PolicyBridgeSelectJob");
+        argc, argv, "micro_policy", "BM_PolicySelectJob");
 }

@@ -55,8 +55,8 @@ export TSAN_OPTIONS="halt_on_error=1 exitcode=66 ${TSAN_OPTIONS:-}"
     --gtest_filter='GoldenFaultTrace.*:FaultInjector.*'
 
 # Policy-backed controllers on worker threads: the cross-jobs
-# equivalence test builds every registered policy's bridges and
-# estimator on 1 and 4 workers, and the tournament golden runs the
+# equivalence test builds every registered policy's controller on 1
+# and 4 workers, and the tournament golden runs the
 # committed scenario's full plan both ways.
 "$BUILD_DIR"/tests/test_policy \
     --gtest_filter='PolicyEquivalence.*:LeagueGolden.*'

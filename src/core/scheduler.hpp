@@ -45,9 +45,10 @@ struct SchedulerDecision
 };
 
 /**
- * Strategy interface. Policies must be stateless with respect to a
- * single run (all mutable history lives in TaskSystem / estimators),
- * so one policy object can be shared across experiments.
+ * Strategy interface (Alg. 1's hook). select() is const: all mutable
+ * history lives in TaskSystem / estimators, and the only thing a
+ * policy may keep between calls is the snapshot observe() hands it
+ * for the round being decided.
  */
 class SchedulerPolicy
 {

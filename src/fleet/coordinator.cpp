@@ -45,17 +45,17 @@ assignLevel(const Directive &directive, std::uint64_t chargeNano,
 }
 
 FleetCoordinator::FleetCoordinator(const FleetConfig &config_)
-    : config(config_)
+    : config(config_), cohorts(config_.cohorts.size())
 {
-    controls.reserve(config.cohorts.size());
     capacityNano.reserve(config.cohorts.size());
     for (const CohortConfig &cohort : config.cohorts) {
-        Control control;
-        // Instantiating through the registry validates the name (an
-        // unknown policy panics here, before any device advances)
-        // and keys the assignment rule below off policy->name().
-        control.policy = policy::makePolicy(cohort.policy);
-        controls.push_back(std::move(control));
+        // An unknown policy panics here, before any device advances;
+        // consumeSlab() keys the assignment rule off the name.
+        if (!policy::isRegisteredPolicy(cohort.policy)) {
+            util::fatal(util::msg("cohort \"", cohort.name,
+                                  "\": unknown policy \"", cohort.policy,
+                                  "\""));
+        }
         capacityNano.push_back(toNano(
             app::deviceProfile(cohort.device).storage.capacity()));
     }
@@ -65,8 +65,8 @@ void
 FleetCoordinator::consumeSlab(
     const std::vector<CohortCounters> &slabTotals)
 {
-    for (std::size_t c = 0; c < controls.size(); ++c) {
-        Control &control = controls[c];
+    for (std::size_t c = 0; c < cohorts.size(); ++c) {
+        CohortState &state = cohorts[c];
         const CohortConfig &cohort = config.cohorts[c];
         const CohortCounters &slab = slabTotals[c];
         const std::uint64_t devices = cohort.devices;
@@ -80,7 +80,7 @@ FleetCoordinator::consumeSlab(
         const std::uint8_t keepUp = minKeepUpLevel(cohort);
 
         Directive next;
-        const std::string name = control.policy->name();
+        const std::string &name = cohort.policy;
         if (name == "greedy-fcfs") {
             // The strawman: full quality always, whatever the fleet
             // reports. (Directive defaults already say exactly that.)
@@ -122,12 +122,12 @@ FleetCoordinator::consumeSlab(
             // level while the fleet observed drops; relax one level
             // per quiet slab. Per-device pressure kicks in at 3/4
             // occupancy or a nearly flat capacitor.
-            std::uint8_t base = control.lastBase;
+            std::uint8_t base = state.lastBase;
             if (drops > 0)
                 base = base > keepUp ? base : keepUp;
             else if (base > 0)
                 --base;
-            control.lastBase = base;
+            state.lastBase = base;
             next.baseLevel = base;
             next.pressureLevel =
                 base < kMaxDegradeLevel ? base + 1 : kMaxDegradeLevel;
@@ -135,29 +135,22 @@ FleetCoordinator::consumeSlab(
                 capacity >= 4 ? capacity - capacity / 4 : capacity;
             next.chargeLowNano = capacityNano[c] * 3 / 20;
         }
-        control.directive = next;
+        state.directive = next;
     }
 }
 
 std::vector<FleetCoordinator::CohortState>
 FleetCoordinator::exportState() const
 {
-    std::vector<CohortState> state;
-    state.reserve(controls.size());
-    for (const Control &control : controls)
-        state.push_back({control.directive, control.lastBase});
-    return state;
+    return cohorts;
 }
 
 void
 FleetCoordinator::importState(const std::vector<CohortState> &state)
 {
-    if (state.size() != controls.size())
+    if (state.size() != cohorts.size())
         util::panic("coordinator state cohort count mismatch");
-    for (std::size_t c = 0; c < controls.size(); ++c) {
-        controls[c].directive = state[c].directive;
-        controls[c].lastBase = state[c].lastBase;
-    }
+    cohorts = state;
 }
 
 } // namespace fleet

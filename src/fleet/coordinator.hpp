@@ -7,7 +7,7 @@
  * folds those into one Directive per cohort for the next slab:
  * thresholds a device applies locally (and purely) when it starts
  * its next job. The per-cohort rule is selected by the cohort's
- * policy::SchedulingPolicy registry name, so the PR-7 policy zoo
+ * policy registry name (policy/registry.hpp), so the policy zoo
  * drives fleet-scale assignment: the paper's SJF+IBO degrades to
  * prevent predicted overflow, Zygarde drains by deadline, Delgado &
  * Famaey watches the energy horizon, and greedy-FCFS never degrades.
@@ -22,11 +22,9 @@
 #define QUETZAL_FLEET_COORDINATOR_HPP
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "fleet/fleet.hpp"
-#include "policy/policy.hpp"
 
 namespace quetzal {
 namespace fleet {
@@ -63,8 +61,9 @@ std::uint8_t assignLevel(const Directive &directive,
                          std::uint32_t occupancy);
 
 /**
- * Owns the per-cohort policies (instantiated through the registry —
- * an unknown name fails fast at construction) and the directives.
+ * Owns the per-cohort directives. Each cohort's policy name is
+ * checked against the registry at construction, so an unknown name
+ * fails before any device advances.
  */
 class FleetCoordinator
 {
@@ -74,7 +73,7 @@ class FleetCoordinator
     /** Directive the cohort's devices apply in the next slab. */
     const Directive &directive(std::size_t cohort) const
     {
-        return controls[cohort].directive;
+        return cohorts[cohort].directive;
     }
 
     /**
@@ -83,12 +82,12 @@ class FleetCoordinator
      */
     void consumeSlab(const std::vector<CohortCounters> &slabTotals);
 
-    /** Mutable per-cohort rule state, for checkpoint serialization.
-     *  The policy object itself is stateless at fleet scope — the
-     *  directive plus lastBase is the whole evolution state. */
+    /** Mutable per-cohort rule state, for checkpoint serialization:
+     *  the directive plus lastBase is the whole evolution state. */
     struct CohortState
     {
         Directive directive;
+        /** sjf-ibo rule state: last slab's base level. */
         std::uint8_t lastBase = 0;
     };
 
@@ -100,16 +99,8 @@ class FleetCoordinator
     void importState(const std::vector<CohortState> &state);
 
   private:
-    struct Control
-    {
-        std::shared_ptr<policy::SchedulingPolicy> policy;
-        Directive directive;
-        /** sjf-ibo rule state: last slab's base level. */
-        std::uint8_t lastBase = 0;
-    };
-
     const FleetConfig &config;
-    std::vector<Control> controls;
+    std::vector<CohortState> cohorts;
     /** Usable storage capacity per cohort (nJ). */
     std::vector<std::uint64_t> capacityNano;
 };

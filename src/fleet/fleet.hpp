@@ -54,7 +54,8 @@ struct CohortConfig
 {
     std::string name;
     std::size_t devices = 0;
-    /** policy::makePolicy() registry name driving the coordinator. */
+    /** Policy registry name (policy/registry.hpp) selecting the
+     *  coordinator's directive rule. */
     std::string policy = "sjf-ibo";
     app::DeviceKind device = app::DeviceKind::Apollo4;
     /** Scales the interesting/uninteresting split of dropped

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "policy/bridge.hpp"
-#include "policy/composite.hpp"
 #include "policy/zoo.hpp"
 #include "util/logging.hpp"
 
@@ -25,21 +23,26 @@ isRegisteredPolicy(const std::string &name)
     return std::find(names.begin(), names.end(), name) != names.end();
 }
 
-std::shared_ptr<SchedulingPolicy>
+PolicyPair
 makePolicy(const std::string &name)
 {
     if (name == "sjf-ibo") {
-        // The incumbent: the paper's pair behind the new interface.
-        return std::make_shared<CompositePolicy>(
-            "sjf-ibo", std::make_unique<core::EnergyAwareSjfPolicy>(),
-            std::make_unique<core::IboReactionEngine>());
+        // The incumbent: the paper's pair, exactly as QZ builds it.
+        return {std::make_unique<core::EnergyAwareSjfPolicy>(),
+                std::make_unique<core::IboReactionEngine>()};
     }
-    if (name == "zygarde")
-        return std::make_shared<ZygardePolicy>();
-    if (name == "delgado-famaey")
-        return std::make_shared<EnergyLookaheadPolicy>();
-    if (name == "greedy-fcfs")
-        return std::make_shared<GreedyFcfsPolicy>();
+    if (name == "zygarde") {
+        return {std::make_unique<ZygardeScheduler>(),
+                std::make_unique<ZygardeAdmission>()};
+    }
+    if (name == "delgado-famaey") {
+        return {std::make_unique<EnergyLookaheadScheduler>(),
+                std::make_unique<EnergyLookaheadAdmission>()};
+    }
+    if (name == "greedy-fcfs") {
+        return {std::make_unique<GreedyFcfsScheduler>(),
+                std::make_unique<GreedyFcfsAdmission>()};
+    }
     util::fatal(util::msg("unknown policy \"", name,
                           "\" (run quetzal-sim --help for the list)"));
 }
@@ -47,15 +50,9 @@ makePolicy(const std::string &name)
 std::unique_ptr<core::Controller>
 makePolicyController(const std::string &name, const PolicyOptions &options)
 {
-    std::shared_ptr<SchedulingPolicy> policy = makePolicy(name);
-    // Both bridges share the one policy instance (ranking and
-    // admission may share state); build them before handing off so
-    // argument evaluation order cannot empty the pointer early.
-    auto selector = std::make_unique<PolicySelectorBridge>(policy);
-    auto admission =
-        std::make_unique<PolicyAdmissionBridge>(std::move(policy));
+    PolicyPair policy = makePolicy(name);
     return std::make_unique<core::Controller>(
-        name, std::move(selector), std::move(admission),
+        name, std::move(policy.scheduler), std::move(policy.adaptation),
         std::make_unique<core::EnergyAwareEstimator>(options.useCircuit),
         options.usePid ? std::optional<core::PidConfig>(options.pidConfig)
                        : std::nullopt);

@@ -2,10 +2,14 @@
  * @file
  * The policy registry: every runnable policy keyed by name.
  *
- * The CLI (`quetzal-sim --policy`), the scenario `policy` field and
- * the tournament all resolve policies here, and the invariant test
- * harness iterates registeredPolicyNames() so a newly registered
- * policy is verified automatically.
+ * A registered policy is a plain core::SchedulerPolicy (Alg. 1: which
+ * buffered input runs next) + core::AdaptationPolicy (Alg. 2: at what
+ * quality, plus the IBO reaction hook) pair, the same two interfaces
+ * core::Controller drives for every ControllerKind. The CLI
+ * (`quetzal-sim --policy`), the scenario `policy` field, the fleet
+ * coordinator and the tournament all resolve names here, and the
+ * invariant test harness iterates registeredPolicyNames() so a newly
+ * registered policy is verified automatically.
  */
 
 #ifndef QUETZAL_POLICY_REGISTRY_HPP
@@ -15,9 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "core/pid.hpp"
 #include "core/runtime.hpp"
-#include "policy/policy.hpp"
 
 namespace quetzal {
 namespace policy {
@@ -28,21 +30,23 @@ const std::vector<std::string> &registeredPolicyNames();
 /** True when makePolicy(name) would succeed. */
 bool isRegisteredPolicy(const std::string &name);
 
-/** Fresh instance of a registered policy; fatal on unknown names. */
-std::shared_ptr<SchedulingPolicy> makePolicy(const std::string &name);
-
-/** Knobs shared by every policy-backed controller. */
-struct PolicyOptions
+/** The two halves of a registered policy. */
+struct PolicyPair
 {
-    bool useCircuit = true; ///< Alg. 3 codes vs exact float power
-    bool usePid = true;     ///< section 4.3 error mitigation
-    core::PidConfig pidConfig;
+    std::unique_ptr<core::SchedulerPolicy> scheduler;
+    std::unique_ptr<core::AdaptationPolicy> adaptation;
 };
 
+/** Fresh instance of a registered policy; fatal on unknown names. */
+PolicyPair makePolicy(const std::string &name);
+
+/** Knobs shared by every policy-backed controller (same as QZ's). */
+using PolicyOptions = core::QuetzalOptions;
+
 /**
- * A core::Controller running the named policy through the bridge
- * adapters, with the stock energy-aware estimator. With the default
- * options, "sjf-ibo" is byte-identical to makeQuetzalController().
+ * A core::Controller running the named policy's pair with the stock
+ * energy-aware estimator. With the default options, "sjf-ibo" is
+ * byte-identical to makeQuetzalController().
  */
 std::unique_ptr<core::Controller>
 makePolicyController(const std::string &name,

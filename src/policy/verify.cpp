@@ -36,7 +36,8 @@ struct InFlight
  * needs.
  */
 void
-runWalk(SchedulingPolicy &policy, const VerifyOptions &options,
+runWalk(core::SchedulerPolicy &scheduler,
+        core::AdaptationPolicy &adaptation, const VerifyOptions &options,
         VerifyReport *report, std::vector<std::string> *stream)
 {
     // A miniature person-detection app: a degradable inference task,
@@ -91,17 +92,19 @@ runWalk(SchedulingPolicy &policy, const VerifyOptions &options,
             record.interesting = rng.bernoulli(0.5);
             system.recordCapture(true);
             if (!buffer.tryPush(record))
-                policy.onBufferOverflow(system, buffer, record, now);
+                adaptation.onBufferOverflow(system, buffer, record, now);
         }
 
         // Observable state for this round's decision.
         const Joules stored = capacity * rng.uniform01();
         const Watts watts = rng.uniform(5e-3, 50e-3);
         const core::PowerReading power = system.measureInputPower(watts);
-        const PolicyContext ctx{system,  buffer, estimator, power, 0.0,
-                                {stored, capacity, now}};
+        const core::RuntimeObservation runtime{stored, capacity, now};
+        scheduler.observe(runtime);
+        adaptation.observe(runtime);
 
-        const auto decision = policy.rank(ctx);
+        const auto decision =
+            scheduler.select(system, buffer, estimator, power, 0.0);
         if (!decision) {
             if (stream)
                 stream->push_back("idle");
@@ -151,7 +154,8 @@ runWalk(SchedulingPolicy &policy, const VerifyOptions &options,
 
         const core::Job &job = system.job(
             decision->jobId < system.jobCount() ? decision->jobId : 0);
-        const auto adapted = policy.admit(ctx, job);
+        const auto adapted =
+            adaptation.adapt(system, job, buffer, estimator, power, 0.0);
         if (!adapted.optionPerTask.empty() &&
             adapted.optionPerTask.size() != job.tasks.size()) {
             violate(util::msg("option vector size ",
@@ -203,18 +207,22 @@ runWalk(SchedulingPolicy &policy, const VerifyOptions &options,
 } // namespace
 
 VerifyReport
-verifyPolicy(SchedulingPolicy &policy, const VerifyOptions &options)
+verifyPolicy(core::SchedulerPolicy &scheduler,
+             core::AdaptationPolicy &adaptation,
+             const VerifyOptions &options)
 {
     VerifyReport report;
-    runWalk(policy, options, &report, nullptr);
+    runWalk(scheduler, adaptation, options, &report, nullptr);
     return report;
 }
 
 std::vector<std::string>
-decisionStream(SchedulingPolicy &policy, const VerifyOptions &options)
+decisionStream(core::SchedulerPolicy &scheduler,
+               core::AdaptationPolicy &adaptation,
+               const VerifyOptions &options)
 {
     std::vector<std::string> stream;
-    runWalk(policy, options, nullptr, &stream);
+    runWalk(scheduler, adaptation, options, nullptr, &stream);
     return stream;
 }
 

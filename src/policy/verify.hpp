@@ -2,10 +2,10 @@
  * @file
  * The policy-invariant verification harness.
  *
- * Drives any policy::SchedulingPolicy through a deterministic,
- * seeded workload walk (arrivals, energy levels, harvest power,
- * in-flight executions, spawns, overflows) and checks the contract
- * every registered policy must honor:
+ * Drives any core::SchedulerPolicy + core::AdaptationPolicy pair
+ * through a deterministic, seeded workload walk (arrivals, energy
+ * levels, harvest power, in-flight executions, spawns, overflows) and
+ * checks the contract every registered policy must honor:
  *
  *  - a returned decision names a resident, schedulable buffer slot
  *    whose record matches the decision's job (scheduling an
@@ -29,7 +29,8 @@
 #include <string>
 #include <vector>
 
-#include "policy/policy.hpp"
+#include "core/ibo_engine.hpp"
+#include "core/scheduler.hpp"
 
 namespace quetzal {
 namespace policy {
@@ -55,15 +56,17 @@ struct VerifyReport
     bool ok() const { return violations.empty(); }
 };
 
-/** Run the invariant walk against a policy. */
-VerifyReport verifyPolicy(SchedulingPolicy &policy,
+/** Run the invariant walk against a policy's two halves. */
+VerifyReport verifyPolicy(core::SchedulerPolicy &scheduler,
+                          core::AdaptationPolicy &adaptation,
                           const VerifyOptions &options = {});
 
 /**
  * The walk's decision fingerprints (one string per round, bit-exact
  * doubles), for purity/determinism comparisons.
  */
-std::vector<std::string> decisionStream(SchedulingPolicy &policy,
+std::vector<std::string> decisionStream(core::SchedulerPolicy &scheduler,
+                                        core::AdaptationPolicy &adaptation,
                                         const VerifyOptions &options = {});
 
 } // namespace policy

@@ -3,15 +3,32 @@
 #include <algorithm>
 #include <limits>
 
+#include "util/wire.hpp"
+
 namespace quetzal {
 namespace policy {
 
 namespace {
 
+/**
+ * Everything one zoo decision reads: the Controller's select/adapt
+ * arguments plus the device snapshot the half kept from observe().
+ * References are valid only for the duration of the call.
+ */
+struct Context
+{
+    const core::TaskSystem &system;
+    const queueing::InputBuffer &buffer;
+    const core::ServiceTimeEstimator &estimator;
+    const core::PowerReading &power;
+    double pidCorrection;
+    core::RuntimeObservation runtime;
+};
+
 /** The staleness bound shared with Metrics::deadlineMisses: the time
  *  the buffer takes to cycle once at the nominal capture rate. */
 double
-deadlineSeconds(const PolicyContext &ctx)
+deadlineSeconds(const Context &ctx)
 {
     const double hz = ctx.system.config().captureHz;
     return static_cast<double>(ctx.buffer.capacity()) /
@@ -25,7 +42,7 @@ deadlineSeconds(const PolicyContext &ctx)
  * to 0 and become indistinguishable.
  */
 double
-rawService(const PolicyContext &ctx, const core::Job &job,
+rawService(const Context &ctx, const core::Job &job,
            const core::OptionVec &options = {})
 {
     return ctx.system.expectedJobService(job, ctx.estimator, ctx.power,
@@ -35,7 +52,7 @@ rawService(const PolicyContext &ctx, const core::Job &job,
 
 /** rawService() clamped for reporting as a predicted service time. */
 double
-predictedService(const PolicyContext &ctx, const core::Job &job,
+predictedService(const Context &ctx, const core::Job &job,
                  const core::OptionVec &options = {})
 {
     return std::max(0.0, rawService(ctx, job, options));
@@ -85,8 +102,13 @@ minimalJobEnergy(const core::TaskSystem &system, const core::Job &job)
 } // namespace
 
 std::optional<core::SchedulerDecision>
-ZygardePolicy::rank(const PolicyContext &ctx)
+ZygardeScheduler::select(const core::TaskSystem &system,
+                         const queueing::InputBuffer &buffer,
+                         const core::ServiceTimeEstimator &estimator,
+                         const core::PowerReading &power,
+                         double pidCorrection) const
 {
+    const Context ctx{system, buffer, estimator, power, pidCorrection, {}};
     // Earliest deadline first == oldest capture first: every input
     // carries the same relative deadline, so urgency is input age.
     std::optional<core::SchedulerDecision> best;
@@ -109,8 +131,15 @@ ZygardePolicy::rank(const PolicyContext &ctx)
 }
 
 core::AdaptationDecision
-ZygardePolicy::admit(const PolicyContext &ctx, const core::Job &job)
+ZygardeAdmission::adapt(const core::TaskSystem &system,
+                        const core::Job &job,
+                        const queueing::InputBuffer &buffer,
+                        const core::ServiceTimeEstimator &estimator,
+                        const core::PowerReading &power,
+                        double pidCorrection)
 {
+    const Context ctx{system, buffer, estimator, power, pidCorrection,
+                      runtime};
     double age = 0.0;
     if (const auto slot = ctx.buffer.oldestSlotForJob(job.id)) {
         age = ticksToSeconds(ctx.runtime.now -
@@ -157,17 +186,35 @@ ZygardePolicy::admit(const PolicyContext &ctx, const core::Job &job)
 }
 
 void
-ZygardePolicy::onBufferOverflow(const core::TaskSystem &system,
-                                const queueing::InputBuffer &,
-                                const queueing::InputRecord &, Tick)
+ZygardeAdmission::onBufferOverflow(const core::TaskSystem &system,
+                                   const queueing::InputBuffer &,
+                                   const queueing::InputRecord &, Tick)
 {
     const double hz = system.config().captureHz;
     overflowPressure += 1.0 / (hz > 0.0 ? hz : 1.0);
 }
 
-std::optional<core::SchedulerDecision>
-EnergyLookaheadPolicy::rank(const PolicyContext &ctx)
+void
+ZygardeAdmission::saveState(std::string &out) const
 {
+    util::wire::putDouble(out, overflowPressure);
+}
+
+bool
+ZygardeAdmission::loadState(util::wire::Reader &in)
+{
+    return in.getDouble(overflowPressure);
+}
+
+std::optional<core::SchedulerDecision>
+EnergyLookaheadScheduler::select(const core::TaskSystem &system,
+                                 const queueing::InputBuffer &buffer,
+                                 const core::ServiceTimeEstimator &estimator,
+                                 const core::PowerReading &power,
+                                 double pidCorrection) const
+{
+    const Context ctx{system, buffer, estimator, power, pidCorrection,
+                      runtime};
     // No runtime snapshot (storage unknown) means no energy
     // constraint: the policy degenerates to cheapest-job-first.
     const bool haveRuntime = ctx.runtime.storedEnergy > 0.0 ||
@@ -213,9 +260,15 @@ EnergyLookaheadPolicy::rank(const PolicyContext &ctx)
 }
 
 core::AdaptationDecision
-EnergyLookaheadPolicy::admit(const PolicyContext &ctx,
-                             const core::Job &job)
+EnergyLookaheadAdmission::adapt(const core::TaskSystem &system,
+                                const core::Job &job,
+                                const queueing::InputBuffer &buffer,
+                                const core::ServiceTimeEstimator &estimator,
+                                const core::PowerReading &power,
+                                double pidCorrection)
 {
+    const Context ctx{system, buffer, estimator, power, pidCorrection,
+                      runtime};
     const bool haveRuntime = ctx.runtime.storedEnergy > 0.0 ||
                              ctx.runtime.storageCapacity > 0.0;
 
@@ -244,19 +297,25 @@ EnergyLookaheadPolicy::admit(const PolicyContext &ctx,
 }
 
 std::optional<core::SchedulerDecision>
-GreedyFcfsPolicy::rank(const PolicyContext &ctx)
+GreedyFcfsScheduler::select(const core::TaskSystem &,
+                            const queueing::InputBuffer &buffer,
+                            const core::ServiceTimeEstimator &,
+                            const core::PowerReading &, double) const
 {
-    const auto slot = ctx.buffer.oldestSchedulable();
+    const auto slot = buffer.oldestSchedulable();
     if (!slot)
         return std::nullopt;
     core::SchedulerDecision decision;
-    decision.jobId = ctx.buffer.record(*slot).jobId;
+    decision.jobId = buffer.record(*slot).jobId;
     decision.slot = *slot;
     return decision;
 }
 
 core::AdaptationDecision
-GreedyFcfsPolicy::admit(const PolicyContext &, const core::Job &)
+GreedyFcfsAdmission::adapt(const core::TaskSystem &, const core::Job &,
+                           const queueing::InputBuffer &,
+                           const core::ServiceTimeEstimator &,
+                           const core::PowerReading &, double)
 {
     // Full quality, no prediction, no prevention: the Controller
     // fills the all-zero option vector from the empty default.

@@ -67,10 +67,12 @@ struct ExperimentConfig
     ControllerKind controller = ControllerKind::Quetzal;
     /**
      * Registry policy name ("sjf-ibo", "zygarde", ...). When
-     * non-empty it overrides `controller`: the run uses
+     * non-empty it overrides `controller`: the run drives the
+     * policy's scheduler/adaptation pair through
      * policy::makePolicyController(policyName) (with usePid,
      * useCircuit and pid below) and is labeled by the policy name.
-     * "sjf-ibo" is byte-identical to ControllerKind::Quetzal.
+     * "sjf-ibo" is the same pair as ControllerKind::Quetzal, so its
+     * outputs and checkpoint blobs are byte-identical to QZ's.
      */
     std::string policyName;
     double bufferThreshold = 0.5;        ///< for BufferThreshold

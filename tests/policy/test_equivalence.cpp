@@ -7,6 +7,7 @@
  *    pre-refactor controller (ControllerKind::Quetzal) byte-for-byte:
  *    identical metrics and an identical full-telemetry JSONL stream
  *    on fig09-, fig12- and fault_sweep-style configurations.
+ *    Its checkpoint blobs equal QZ's at every checkpoint.
  *  - Every registered policy produces byte-identical telemetry
  *    across --jobs 1 / --jobs 4 ensemble execution, and resumes
  *    from a mid-run checkpoint into the straight run's suffix.
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -168,60 +170,133 @@ TEST(PolicyEquivalence, EveryPolicyIsByteIdenticalAcrossJobCounts)
     }
 }
 
+/** A checkpoint/resume differential: where to save, which to keep. */
+struct ResumeCase
+{
+    const char *name;
+    sim::ExperimentConfig config;
+    std::uint64_t checkpointEveryCaptures;
+    /** 1-based index of the checkpoint the resumed run starts from. */
+    std::size_t resumeFrom;
+};
+
+std::vector<ResumeCase>
+resumeCases()
+{
+    std::vector<ResumeCase> cases;
+
+    sim::ExperimentConfig early;
+    early.eventCount = 30;
+    early.seed = 42;
+    early.sim.bufferCapacity = 8;
+    cases.push_back({"crowded/early", early, 20, 2});
+
+    // A small buffer under heavy load: drops build Zygarde's overflow
+    // pressure and drive the IBO engine's per-task options, both of
+    // which must cross the checkpoint.
+    sim::ExperimentConfig overloaded;
+    overloaded.environment = trace::EnvironmentPreset::MoreCrowded;
+    overloaded.eventCount = 300;
+    overloaded.seed = 7;
+    overloaded.sim.bufferCapacity = 5;
+    cases.push_back({"more-crowded/overloaded", overloaded, 10, 43});
+
+    return cases;
+}
+
 TEST(PolicyEquivalence, EveryPolicyResumesFromACheckpoint)
 {
     // Each policy's decision state crosses a mid-run checkpoint: the
     // resumed run must finish with the straight run's metrics and
     // replay exactly its telemetry from the boundary on.
-    for (const std::string &name : registeredPolicyNames()) {
-        SCOPED_TRACE(name);
-        sim::ExperimentConfig config;
-        config.policyName = name;
-        config.eventCount = 30;
-        config.seed = 42;
-        config.sim.bufferCapacity = 8;
-        config.obsLevel = obs::ObsLevel::Full;
+    for (const ResumeCase &c : resumeCases()) {
+        for (const std::string &name : registeredPolicyNames()) {
+            SCOPED_TRACE(std::string(c.name) + " " + name);
+            sim::ExperimentConfig config = c.config;
+            config.policyName = name;
+            config.obsLevel = obs::ObsLevel::Full;
 
-        obs::VectorSink straightSink;
-        sim::ExperimentConfig straightCfg = config;
-        straightCfg.obsSink = &straightSink;
-        const sim::Metrics straight = sim::runExperiment(straightCfg);
+            obs::VectorSink straightSink;
+            sim::ExperimentConfig straightCfg = config;
+            straightCfg.obsSink = &straightSink;
+            const sim::Metrics straight = sim::runExperiment(straightCfg);
 
-        // The second checkpoint's state, and how many events the
-        // saving run had emitted when it fired (the exact split).
-        std::string state;
-        std::size_t eventsBefore = 0;
-        std::size_t saves = 0;
-        obs::VectorSink saveSink;
-        sim::ExperimentConfig saveCfg = config;
-        saveCfg.obsSink = &saveSink;
-        saveCfg.sim.checkpointEveryCaptures = 20;
-        saveCfg.sim.checkpointSink = [&](std::string &&blob, Tick) {
-            if (++saves == 2) {
-                state = std::move(blob);
-                eventsBefore = saveSink.events().size();
-            }
-        };
-        (void)sim::runExperiment(saveCfg);
-        ASSERT_GE(saves, 2u);
+            // The chosen checkpoint's state, and how many events the
+            // saving run had emitted when it fired (the exact split).
+            std::string state;
+            std::size_t eventsBefore = 0;
+            std::size_t saves = 0;
+            obs::VectorSink saveSink;
+            sim::ExperimentConfig saveCfg = config;
+            saveCfg.obsSink = &saveSink;
+            saveCfg.sim.checkpointEveryCaptures = c.checkpointEveryCaptures;
+            saveCfg.sim.checkpointSink = [&](std::string &&blob, Tick) {
+                if (++saves == c.resumeFrom) {
+                    state = std::move(blob);
+                    eventsBefore = saveSink.events().size();
+                }
+            };
+            (void)sim::runExperiment(saveCfg);
+            ASSERT_GE(saves, c.resumeFrom);
 
-        obs::VectorSink resumedSink;
-        sim::ExperimentConfig resumeCfg = config;
-        resumeCfg.obsSink = &resumedSink;
-        resumeCfg.sim.resumeState = &state;
-        expectIdenticalMetrics(straight, sim::runExperiment(resumeCfg));
+            obs::VectorSink resumedSink;
+            sim::ExperimentConfig resumeCfg = config;
+            resumeCfg.obsSink = &resumedSink;
+            resumeCfg.sim.resumeState = &state;
+            expectIdenticalMetrics(straight,
+                                   sim::runExperiment(resumeCfg));
 
-        ASSERT_LT(eventsBefore, straightSink.events().size());
-        const std::vector<obs::Event> suffix(
-            straightSink.events().begin() +
-                static_cast<std::ptrdiff_t>(eventsBefore),
-            straightSink.events().end());
-        std::ostringstream expected;
-        obs::writeJsonl(expected, suffix, 0);
-        std::ostringstream actual;
-        obs::writeJsonl(actual, resumedSink.events(), 0);
-        EXPECT_EQ(expected.str(), actual.str());
+            ASSERT_LT(eventsBefore, straightSink.events().size());
+            const std::vector<obs::Event> suffix(
+                straightSink.events().begin() +
+                    static_cast<std::ptrdiff_t>(eventsBefore),
+                straightSink.events().end());
+            std::ostringstream expected;
+            obs::writeJsonl(expected, suffix, 0);
+            std::ostringstream actual;
+            obs::writeJsonl(actual, resumedSink.events(), 0);
+            EXPECT_EQ(expected.str(), actual.str());
+        }
     }
+}
+
+/** Every checkpoint blob a run saves, in order. */
+std::vector<std::string>
+checkpointsOf(sim::ExperimentConfig config)
+{
+    std::vector<std::string> blobs;
+    config.sim.checkpointEveryCaptures = 10;
+    config.sim.checkpointSink = [&](std::string &&blob, Tick) {
+        blobs.push_back(std::move(blob));
+    };
+    (void)sim::runExperiment(config);
+    return blobs;
+}
+
+TEST(PolicyEquivalence, PortedIncumbentCheckpointsMatchLegacyController)
+{
+    // sjf-ibo is QZ's own scheduler/adaptation pair, so its state
+    // blobs — the IBO engine's per-task options included — must be
+    // QZ's, byte for byte, at every checkpoint.
+    sim::ExperimentConfig config;
+    config.environment = trace::EnvironmentPreset::MoreCrowded;
+    config.eventCount = 100;
+    config.seed = 7;
+    config.sim.bufferCapacity = 5;
+
+    sim::ExperimentConfig legacy = config;
+    legacy.controller = sim::ControllerKind::Quetzal;
+    sim::ExperimentConfig ported = config;
+    ported.policyName = "sjf-ibo";
+
+    const std::vector<std::string> expected = checkpointsOf(legacy);
+    const std::vector<std::string> actual = checkpointsOf(ported);
+    ASSERT_FALSE(expected.empty());
+    ASSERT_EQ(expected.size(), actual.size());
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        differing += expected[i] != actual[i] ? 1 : 0;
+    EXPECT_EQ(differing, 0u) << "of " << expected.size() << " checkpoints";
 }
 
 } // namespace

@@ -15,7 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,8 +51,9 @@ TEST(PolicyInvariants, EveryRegisteredPolicyPassesTheWalk)
 {
     for (const std::string &name : registeredPolicyNames()) {
         SCOPED_TRACE(name);
-        const auto policy = makePolicy(name);
-        const VerifyReport report = verifyPolicy(*policy);
+        const PolicyPair policy = makePolicy(name);
+        const VerifyReport report =
+            verifyPolicy(*policy.scheduler, *policy.adaptation);
         EXPECT_TRUE(report.ok()) << joined(report.violations);
         // A walk that never exercised the policy proves nothing.
         EXPECT_GT(report.decisions, 50u);
@@ -68,10 +69,19 @@ TEST(PolicyInvariants, EveryRegisteredPolicyPassesAlternateWalks)
     options.serviceRounds = 4;   // longer in-flight windows
     for (const std::string &name : registeredPolicyNames()) {
         SCOPED_TRACE(name);
-        const auto policy = makePolicy(name);
-        const VerifyReport report = verifyPolicy(*policy, options);
+        const PolicyPair policy = makePolicy(name);
+        const VerifyReport report =
+            verifyPolicy(*policy.scheduler, *policy.adaptation, options);
         EXPECT_TRUE(report.ok()) << joined(report.violations);
     }
+}
+
+/** The decision stream of a fresh instance of a registered policy. */
+std::vector<std::string>
+freshStream(const std::string &name, const VerifyOptions &options = {})
+{
+    const PolicyPair policy = makePolicy(name);
+    return decisionStream(*policy.scheduler, *policy.adaptation, options);
 }
 
 TEST(PolicyInvariants, DecisionsArePureFunctionsOfObservableState)
@@ -80,10 +90,8 @@ TEST(PolicyInvariants, DecisionsArePureFunctionsOfObservableState)
         SCOPED_TRACE(name);
         // Two fresh instances replay the identical walk: any hidden
         // state not derived from observations diverges the streams.
-        const auto first = makePolicy(name);
-        const auto second = makePolicy(name);
-        const std::vector<std::string> a = decisionStream(*first);
-        const std::vector<std::string> b = decisionStream(*second);
+        const std::vector<std::string> a = freshStream(name);
+        const std::vector<std::string> b = freshStream(name);
         ASSERT_FALSE(a.empty());
         EXPECT_EQ(a, b);
     }
@@ -95,25 +103,25 @@ TEST(PolicyInvariants, DecisionStreamsRespondToTheSeed)
     // differ, or the purity test above would be vacuous.
     VerifyOptions other;
     other.seed = 2;
-    const auto a = makePolicy("sjf-ibo");
-    const auto b = makePolicy("sjf-ibo");
-    EXPECT_NE(decisionStream(*a), decisionStream(*b, other));
+    EXPECT_NE(freshStream("sjf-ibo"), freshStream("sjf-ibo", other));
 }
 
 // --- Deliberately broken policies: the harness must flag each. -----
 
 /** Schedules the FIFO head even while it is in flight. */
-class DoubleReleasePolicy : public SchedulingPolicy
+class DoubleReleaseScheduler : public core::SchedulerPolicy
 {
   public:
     std::string name() const override { return "broken-in-flight"; }
 
     std::optional<core::SchedulerDecision>
-    rank(const PolicyContext &ctx) override
+    select(const core::TaskSystem &, const queueing::InputBuffer &buffer,
+           const core::ServiceTimeEstimator &, const core::PowerReading &,
+           double) const override
     {
         std::optional<core::SchedulerDecision> decision;
-        ctx.buffer.forEachFifo([&](queueing::SlotId slot,
-                                   const queueing::InputRecord &rec) {
+        buffer.forEachFifo([&](queueing::SlotId slot,
+                               const queueing::InputRecord &rec) {
             if (decision)
                 return;
             core::SchedulerDecision d;
@@ -123,56 +131,68 @@ class DoubleReleasePolicy : public SchedulingPolicy
         });
         return decision;
     }
-
-    core::AdaptationDecision
-    admit(const PolicyContext &, const core::Job &) override
-    {
-        return {};
-    }
 };
 
 /** Declares an energy bound above the observed stored energy. */
-class OverclaimPolicy : public GreedyFcfsPolicy
+class OverclaimScheduler : public GreedyFcfsScheduler
 {
   public:
     std::string name() const override { return "broken-overclaim"; }
 
-    std::optional<core::SchedulerDecision>
-    rank(const PolicyContext &ctx) override
+    void observe(const core::RuntimeObservation &rt) override
     {
-        auto decision = GreedyFcfsPolicy::rank(ctx);
+        runtime = rt;
+    }
+
+    std::optional<core::SchedulerDecision>
+    select(const core::TaskSystem &system,
+           const queueing::InputBuffer &buffer,
+           const core::ServiceTimeEstimator &estimator,
+           const core::PowerReading &power,
+           double pidCorrection) const override
+    {
+        auto decision = GreedyFcfsScheduler::select(
+            system, buffer, estimator, power, pidCorrection);
         if (decision)
-            decision->energyBoundJoules =
-                ctx.runtime.storedEnergy * 2.0 + 1.0;
+            decision->energyBoundJoules = runtime.storedEnergy * 2.0 + 1.0;
         return decision;
     }
+
+  private:
+    core::RuntimeObservation runtime;
 };
 
 /** Names a job other than the one in the chosen slot's record. */
-class WrongJobPolicy : public GreedyFcfsPolicy
+class WrongJobScheduler : public GreedyFcfsScheduler
 {
   public:
     std::string name() const override { return "broken-wrong-job"; }
 
     std::optional<core::SchedulerDecision>
-    rank(const PolicyContext &ctx) override
+    select(const core::TaskSystem &system,
+           const queueing::InputBuffer &buffer,
+           const core::ServiceTimeEstimator &estimator,
+           const core::PowerReading &power,
+           double pidCorrection) const override
     {
-        auto decision = GreedyFcfsPolicy::rank(ctx);
+        auto decision = GreedyFcfsScheduler::select(
+            system, buffer, estimator, power, pidCorrection);
         if (decision)
-            decision->jobId =
-                (decision->jobId + 1) % ctx.system.jobCount();
+            decision->jobId = (decision->jobId + 1) % system.jobCount();
         return decision;
     }
 };
 
 /** Admits with an out-of-range degradation option index. */
-class BadOptionPolicy : public GreedyFcfsPolicy
+class BadOptionAdmission : public GreedyFcfsAdmission
 {
   public:
     std::string name() const override { return "broken-option"; }
 
     core::AdaptationDecision
-    admit(const PolicyContext &, const core::Job &job) override
+    adapt(const core::TaskSystem &, const core::Job &job,
+          const queueing::InputBuffer &, const core::ServiceTimeEstimator &,
+          const core::PowerReading &, double) override
     {
         core::AdaptationDecision decision;
         decision.optionPerTask.assign(job.tasks.size(), 99);
@@ -181,13 +201,15 @@ class BadOptionPolicy : public GreedyFcfsPolicy
 };
 
 /** Predicts a negative service time. */
-class NegativePredictionPolicy : public GreedyFcfsPolicy
+class NegativePredictionAdmission : public GreedyFcfsAdmission
 {
   public:
     std::string name() const override { return "broken-negative"; }
 
     core::AdaptationDecision
-    admit(const PolicyContext &, const core::Job &) override
+    adapt(const core::TaskSystem &, const core::Job &,
+          const queueing::InputBuffer &, const core::ServiceTimeEstimator &,
+          const core::PowerReading &, double) override
     {
         core::AdaptationDecision decision;
         decision.predictedServiceSeconds = -1.0;
@@ -196,19 +218,24 @@ class NegativePredictionPolicy : public GreedyFcfsPolicy
 };
 
 /** Decisions depend on a process-global counter, not observations. */
-class HiddenStatePolicy : public GreedyFcfsPolicy
+class HiddenStateScheduler : public GreedyFcfsScheduler
 {
   public:
     std::string name() const override { return "broken-hidden"; }
 
     std::optional<core::SchedulerDecision>
-    rank(const PolicyContext &ctx) override
+    select(const core::TaskSystem &system,
+           const queueing::InputBuffer &buffer,
+           const core::ServiceTimeEstimator &estimator,
+           const core::PowerReading &power,
+           double pidCorrection) const override
     {
         // Modulus chosen not to divide the walk length, so the
         // counter's phase differs between two consecutive walks.
         if (++counter() % 7 == 0)
             return std::nullopt;
-        return GreedyFcfsPolicy::rank(ctx);
+        return GreedyFcfsScheduler::select(system, buffer, estimator,
+                                           power, pidCorrection);
     }
 
   private:
@@ -221,8 +248,9 @@ class HiddenStatePolicy : public GreedyFcfsPolicy
 
 TEST(PolicyInvariants, HarnessFlagsInFlightScheduling)
 {
-    DoubleReleasePolicy broken;
-    const VerifyReport report = verifyPolicy(broken);
+    DoubleReleaseScheduler broken;
+    GreedyFcfsAdmission admission;
+    const VerifyReport report = verifyPolicy(broken, admission);
     EXPECT_FALSE(report.ok());
     EXPECT_TRUE(anyContains(report.violations, "in-flight slot"))
         << joined(report.violations);
@@ -230,8 +258,9 @@ TEST(PolicyInvariants, HarnessFlagsInFlightScheduling)
 
 TEST(PolicyInvariants, HarnessFlagsEnergyBoundOverclaim)
 {
-    OverclaimPolicy broken;
-    const VerifyReport report = verifyPolicy(broken);
+    OverclaimScheduler broken;
+    GreedyFcfsAdmission admission;
+    const VerifyReport report = verifyPolicy(broken, admission);
     EXPECT_FALSE(report.ok());
     EXPECT_TRUE(anyContains(report.violations, "energy bound"))
         << joined(report.violations);
@@ -239,8 +268,9 @@ TEST(PolicyInvariants, HarnessFlagsEnergyBoundOverclaim)
 
 TEST(PolicyInvariants, HarnessFlagsJobSlotMismatch)
 {
-    WrongJobPolicy broken;
-    const VerifyReport report = verifyPolicy(broken);
+    WrongJobScheduler broken;
+    GreedyFcfsAdmission admission;
+    const VerifyReport report = verifyPolicy(broken, admission);
     EXPECT_FALSE(report.ok());
     EXPECT_TRUE(anyContains(report.violations, "does not match"))
         << joined(report.violations);
@@ -248,8 +278,9 @@ TEST(PolicyInvariants, HarnessFlagsJobSlotMismatch)
 
 TEST(PolicyInvariants, HarnessFlagsOutOfRangeOptions)
 {
-    BadOptionPolicy broken;
-    const VerifyReport report = verifyPolicy(broken);
+    GreedyFcfsScheduler scheduler;
+    BadOptionAdmission broken;
+    const VerifyReport report = verifyPolicy(scheduler, broken);
     EXPECT_FALSE(report.ok());
     EXPECT_TRUE(anyContains(report.violations, "option index"))
         << joined(report.violations);
@@ -257,8 +288,9 @@ TEST(PolicyInvariants, HarnessFlagsOutOfRangeOptions)
 
 TEST(PolicyInvariants, HarnessFlagsNegativePredictions)
 {
-    NegativePredictionPolicy broken;
-    const VerifyReport report = verifyPolicy(broken);
+    GreedyFcfsScheduler scheduler;
+    NegativePredictionAdmission broken;
+    const VerifyReport report = verifyPolicy(scheduler, broken);
     EXPECT_FALSE(report.ok());
     EXPECT_TRUE(
         anyContains(report.violations, "negative service prediction"))
@@ -270,9 +302,11 @@ TEST(PolicyInvariants, PurityCheckCatchesHiddenState)
     // The counter is shared across instances, so the second stream
     // starts from a different parity than the first: exactly the
     // divergence the registered-policy purity test would report.
-    HiddenStatePolicy first;
-    HiddenStatePolicy second;
-    EXPECT_NE(decisionStream(first), decisionStream(second));
+    HiddenStateScheduler first;
+    HiddenStateScheduler second;
+    GreedyFcfsAdmission admission;
+    EXPECT_NE(decisionStream(first, admission),
+              decisionStream(second, admission));
 }
 
 } // namespace

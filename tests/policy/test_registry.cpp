@@ -1,9 +1,10 @@
 /**
  * @file
  * Policy registry tests: every registered name resolves to a fresh
- * policy reporting that name, the incumbent controller keeps the
- * legacy component names the rest of the suite pins, and unknown
- * names die loudly instead of silently running the wrong policy.
+ * scheduler/adaptation pair and a controller reporting that name,
+ * the incumbent controller keeps the legacy component names the rest
+ * of the suite pins, and unknown names die loudly instead of
+ * silently running the wrong policy.
  */
 
 #include <gtest/gtest.h>
@@ -26,9 +27,10 @@ TEST(PolicyRegistry, NamesAreUniqueAndResolvable)
     for (const std::string &name : names) {
         SCOPED_TRACE(name);
         EXPECT_TRUE(isRegisteredPolicy(name));
-        const auto policy = makePolicy(name);
-        ASSERT_NE(policy, nullptr);
-        EXPECT_EQ(policy->name(), name);
+        const PolicyPair policy = makePolicy(name);
+        ASSERT_NE(policy.scheduler, nullptr);
+        ASSERT_NE(policy.adaptation, nullptr);
+        EXPECT_EQ(makePolicyController(name)->name(), name);
     }
 }
 
@@ -55,8 +57,8 @@ TEST(PolicyRegistry, IncumbentControllerKeepsLegacyComponentNames)
     const auto controller = makePolicyController("sjf-ibo");
     ASSERT_NE(controller, nullptr);
     EXPECT_EQ(controller->name(), "sjf-ibo");
-    // The composite forwards the wrapped pair's names, so telemetry
-    // and tests keyed on the incumbent's components keep working.
+    // The registry hands out the paper's own pair, so telemetry and
+    // tests keyed on the incumbent's components keep working.
     EXPECT_EQ(controller->scheduler().name(), "energy-aware-sjf");
     EXPECT_EQ(controller->adaptation().name(), "ibo-engine");
 }
