@@ -42,6 +42,9 @@
 #                            Unlike the wall-clock ratio this gate is
 #                            absolute: the overhead is a self-relative
 #                            percentage, so host speed cancels out.
+#                            The verdict names the bench line's jobs
+#                            value: the share grows with worker count
+#                            wherever snapshot work stays serial.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -169,7 +172,7 @@ if "checkpoint_overhead_pct" in line:
     pct = float(line["checkpoint_overhead_pct"]) * inject
     word = "FAIL" if pct >= limit else "OK"
     verdict += (f"; {word} checkpoint_overhead_pct={pct:.2f}"
-                f" (budget {limit:.1f})")
+                f" (budget {limit:.1f}, jobs {line.get('jobs', '?')})")
 if update == "1":
     entry = dict(line)
     entry["label"] = label

@@ -12,6 +12,8 @@
  *   varint eventCount | per event: kind tick id value extra a b
  *               flags options
  *   per shard:  length-prefixed section + fixed32 crc32(section)
+ *               (encodeShardSection; runFleet encodes these inside
+ *               the parallel slab, one reused buffer per shard)
  *     section := fixed64 shardFingerprint
  *                per cohort: firstDevice count
  *                  per device: charge taskTicksLeft phaseTicksLeft
@@ -101,21 +103,71 @@ getEvent(wire::Reader &in, obs::Event &event)
     return true;
 }
 
-void
-putBlock(std::string &out, const CohortBlock &block)
+/** Bytes putBlock writes for `block`. */
+std::size_t
+blockSize(const CohortBlock &block)
 {
-    wire::putVarint(out, block.firstDevice);
-    wire::putVarint(out, block.size());
+    // Per row: charge fixed64, phase, level and scratch bytes, plus
+    // four varints.
+    std::size_t size = wire::varintSize(block.firstDevice) +
+        wire::varintSize(block.size()) + 11 * block.size();
+    for (std::size_t i = 0; i < block.size(); ++i)
+        size += wire::varintSize(wire::zigzag(block.taskTicksLeft[i])) +
+            wire::varintSize(wire::zigzag(block.phaseTicksLeft[i])) +
+            wire::varintSize(block.cursor[i]) +
+            wire::varintSize(block.occupancy[i]);
+    return size;
+}
+
+/** Write `block` through `p` (blockSize bytes); returns the end. */
+char *
+putBlock(char *p, const CohortBlock &block)
+{
+    p = wire::putVarintRaw(p, block.firstDevice);
+    p = wire::putVarintRaw(p, block.size());
     for (std::size_t i = 0; i < block.size(); ++i) {
-        wire::putDouble(out, block.charge[i]);
-        wire::putZigzag(out, block.taskTicksLeft[i]);
-        wire::putZigzag(out, block.phaseTicksLeft[i]);
-        wire::putVarint(out, block.cursor[i]);
-        out.push_back(static_cast<char>(block.phase[i]));
-        wire::putVarint(out, block.occupancy[i]);
-        out.push_back(static_cast<char>(block.level[i]));
-        out.push_back(static_cast<char>(block.scratch[i]));
+        p = wire::putDoubleRaw(p, block.charge[i]);
+        p = wire::putZigzagRaw(p, block.taskTicksLeft[i]);
+        p = wire::putZigzagRaw(p, block.phaseTicksLeft[i]);
+        p = wire::putVarintRaw(p, block.cursor[i]);
+        *p++ = static_cast<char>(block.phase[i]);
+        p = wire::putVarintRaw(p, block.occupancy[i]);
+        *p++ = static_cast<char>(block.level[i]);
+        *p++ = static_cast<char>(block.scratch[i]);
     }
+    return p;
+}
+
+/** Bytes of a shard section between its length prefix and CRC. */
+std::size_t
+sectionSize(const ShardState &state)
+{
+    std::size_t size = 8;
+    for (const CohortBlock &block : state.blocks)
+        size += blockSize(block);
+    return size;
+}
+
+/** Bytes of a framed shard section (see encodeShardSection). */
+std::size_t
+framedSize(std::size_t section)
+{
+    return wire::varintSize(section) + section + 4;
+}
+
+/** Write a framed section of `section` bytes through `p`. */
+char *
+putSection(char *p, const ShardState &state, std::uint64_t fingerprint,
+           unsigned shard, std::size_t section)
+{
+    p = wire::putVarintRaw(p, section);
+    char *const begin = p;
+    p = wire::putFixed64Raw(p, shardFingerprint(fingerprint, shard));
+    for (const CohortBlock &block : state.blocks)
+        p = putBlock(p, block);
+    if (static_cast<std::size_t>(p - begin) != section)
+        util::panic("fleet snapshot: shard section size mismatch");
+    return wire::putFixed32Raw(p, wire::crc32(begin, section));
 }
 
 bool
@@ -217,8 +269,7 @@ validBarrierTick(const FleetConfig &config, Tick tick)
 }
 
 std::string
-encodeFleetState(const FleetSnapshot &snap,
-                 std::uint64_t fleetFingerprint_)
+encodeFleetHeader(const FleetSnapshot &snap)
 {
     std::string out;
     wire::putVarint(out, snap.shards);
@@ -239,16 +290,43 @@ encodeFleetState(const FleetSnapshot &snap,
     wire::putVarint(out, snap.events.size());
     for (const obs::Event &event : snap.events)
         putEvent(out, event);
+    return out;
+}
 
-    std::string section;
+void
+encodeShardSection(const ShardState &state,
+                   std::uint64_t fleetFingerprint_, unsigned shard,
+                   std::string &out)
+{
+    const std::size_t section = sectionSize(state);
+    const std::size_t size = framedSize(section);
+    if (out.capacity() < size) {
+        // Grow to the exact size, not geometrically: the buffer
+        // lives on between barriers.
+        std::string().swap(out);
+        out.reserve(size);
+    }
+    out.resize(size);
+    putSection(out.data(), state, fleetFingerprint_, shard, section);
+}
+
+std::string
+encodeFleetState(const FleetSnapshot &snap,
+                 std::uint64_t fleetFingerprint_)
+{
+    std::string out = encodeFleetHeader(snap);
+    std::vector<std::size_t> sections(snap.shards);
+    std::size_t size = out.size();
     for (unsigned s = 0; s < snap.shards; ++s) {
-        section.clear();
-        wire::putFixed64(section,
-                         shardFingerprint(fleetFingerprint_, s));
-        for (const CohortBlock &block : snap.states[s].blocks)
-            putBlock(section, block);
-        wire::putBytes(out, section);
-        wire::putFixed32(out, wire::crc32(section));
+        sections[s] = sectionSize(snap.states[s]);
+        size += framedSize(sections[s]);
+    }
+    std::size_t at = out.size();
+    out.resize(size);
+    for (unsigned s = 0; s < snap.shards; ++s) {
+        putSection(out.data() + at, snap.states[s], fleetFingerprint_, s,
+                   sections[s]);
+        at += framedSize(sections[s]);
     }
     return out;
 }

@@ -75,9 +75,26 @@ std::uint64_t shardFingerprint(std::uint64_t fleetFingerprint,
  */
 bool validBarrierTick(const FleetConfig &config, Tick tick);
 
-/** Serialize a snapshot into a QZCK state payload. */
+/**
+ * Serialize a snapshot into a QZCK state payload: encodeFleetHeader
+ * followed by every shard's encodeShardSection, in shard order.
+ */
 std::string encodeFleetState(const FleetSnapshot &snap,
                              std::uint64_t fleetFingerprint);
+
+/** The blob up to the shard sections: everything but `snap.states`. */
+std::string encodeFleetHeader(const FleetSnapshot &snap);
+
+/**
+ * Shard `shard`'s framed section of the blob, written into `out`
+ * (its old contents are dropped, its capacity is reused): length
+ * prefix, section fingerprint, device columns, CRC-32C. It reads
+ * only `state`, so each shard's section can be encoded on the
+ * worker that just advanced it.
+ */
+void encodeShardSection(const ShardState &state,
+                        std::uint64_t fleetFingerprint, unsigned shard,
+                        std::string &out);
 
 /**
  * Parse and validate a snapshot blob against the resuming

@@ -567,11 +567,23 @@ runFleet(const FleetConfig &config, const FleetOptions &options)
 
     Tick haltedAtTick = 0;
     std::uint64_t checkpointsWritten = 0;
+    const unsigned checkpointEvery = options.checkpointEverySlabs > 0
+        ? options.checkpointEverySlabs
+        : 1;
+    // Each shard's framed snapshot section, encoded by the worker
+    // that advanced the shard; the buffers are reused across
+    // barriers.
+    std::vector<std::string> sections(checkpointing ? shards : 0);
 
     for (Tick slabStart = startTick; slabStart < config.horizonTicks;
          slabStart += config.slabTicks) {
         const Tick slabEnd = std::min(
             slabStart + config.slabTicks, config.horizonTicks);
+        // The final barrier always snapshots, whatever the cadence.
+        const std::uint64_t epoch = barrierEpoch(config, slabEnd);
+        const bool snapshotting = checkpointing &&
+            (epoch % checkpointEvery == 0 ||
+             slabEnd == config.horizonTicks);
 
         // Directives are snapshotted before the fan-out so every
         // shard reads the same immutable copy.
@@ -586,6 +598,12 @@ runFleet(const FleetConfig &config, const FleetOptions &options)
                              runtimes[c], directives[c], slabStart,
                              slabEnd, reports[s][c]);
             }
+            // The columns are final for this barrier: nothing
+            // between here and the snapshot touches them.
+            if (snapshotting)
+                encodeShardSection(states[s], fingerprint,
+                                   static_cast<unsigned>(s),
+                                   sections[s]);
         });
 
         // Serial aggregation, shard order (64-bit integer sums, so
@@ -641,39 +659,38 @@ runFleet(const FleetConfig &config, const FleetOptions &options)
 
         // Barrier snapshot, after the coordinator consumed the slab
         // and the rollup (if due) was emitted — the exact state a
-        // straight run carries into the next slab. The final barrier
-        // always snapshots, whatever the cadence.
-        const std::uint64_t epoch = barrierEpoch(config, slabEnd);
-        if (checkpointing) {
-            const unsigned every = options.checkpointEverySlabs > 0
-                ? options.checkpointEverySlabs
-                : 1;
-            if (epoch % every == 0 || slabEnd == config.horizonTicks) {
-                FleetSnapshot snap;
-                snap.shards = shards;
-                snap.coordinator = coordinator.exportState();
-                snap.cohortTotals = cohortTotals;
-                snap.rollupBase = rollupBase;
-                snap.shardTotals = shardTotals;
-                snap.events = emitted;
-                // The device columns are only read during encoding;
-                // swapping them in and back avoids the copy.
-                snap.states.swap(states);
-                std::string blob = encodeFleetState(snap, fingerprint);
-                snap.states.swap(states);
-                ++checkpointsWritten;
-                if (options.episodeSink != nullptr) {
-                    obs::Event saved;
-                    saved.kind = obs::EventKind::FleetCheckpoint;
-                    saved.tick = slabEnd;
-                    saved.id = epoch;
-                    saved.value =
-                        static_cast<std::int64_t>(blob.size());
-                    saved.extra = static_cast<std::int64_t>(shards);
-                    options.episodeSink->record(saved);
-                }
-                options.checkpointSink(std::move(blob), slabEnd);
+        // straight run carries into the next slab. The serial part
+        // is the header; the shard sections were encoded in the
+        // slab.
+        if (snapshotting) {
+            FleetSnapshot snap;
+            snap.shards = shards;
+            snap.coordinator = coordinator.exportState();
+            snap.cohortTotals = cohortTotals;
+            snap.rollupBase = rollupBase;
+            snap.shardTotals = shardTotals;
+            // The event log is only read by the header encode;
+            // swapping it in and back avoids the copy.
+            snap.events.swap(emitted);
+            std::string blob = encodeFleetHeader(snap);
+            snap.events.swap(emitted);
+            std::size_t size = blob.size();
+            for (const std::string &section : sections)
+                size += section.size();
+            blob.reserve(size);
+            for (const std::string &section : sections)
+                blob.append(section);
+            ++checkpointsWritten;
+            if (options.episodeSink != nullptr) {
+                obs::Event saved;
+                saved.kind = obs::EventKind::FleetCheckpoint;
+                saved.tick = slabEnd;
+                saved.id = epoch;
+                saved.value = static_cast<std::int64_t>(blob.size());
+                saved.extra = static_cast<std::int64_t>(shards);
+                options.episodeSink->record(saved);
             }
+            options.checkpointSink(std::move(blob), slabEnd);
         }
 
         // A pre-horizon halt models the preemption the chaos harness

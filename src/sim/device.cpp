@@ -1,6 +1,7 @@
 #include "sim/device.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/logging.hpp"
@@ -284,10 +285,78 @@ Device::commitStep(const StepPlan &plan)
 }
 
 Tick
+Device::skipCycles(Tick now, Tick limit)
+{
+    const CycleKey key{
+        std::bit_cast<std::uint64_t>(powerCursor.valueAt(now)),
+        std::bit_cast<std::uint64_t>(taskPower),
+        std::bit_cast<std::uint64_t>(storage.energy())};
+    if (remainingTaskTicks < anchor.taskTicks && anchor.key == key &&
+        anchor.segment == powerCursor.position() &&
+        anchor.rejected == storage.rejectedHarvest()) {
+        cycle.key = key;
+        cycle.length = now - anchor.now;
+        cycle.activeTicks =
+            deviceStats.activeTicks - anchor.stats.activeTicks;
+        cycle.rechargeTicks =
+            deviceStats.rechargeTicks - anchor.stats.rechargeTicks;
+        cycle.powerFailures =
+            deviceStats.powerFailures - anchor.stats.powerFailures;
+        cycle.checkpointSaves =
+            deviceStats.checkpointSaves - anchor.stats.checkpointSaves;
+    }
+    if (cycle.length > 0 && cycle.key == key) {
+        // From an anchor with this key, planStep and commitStep read
+        // only the key, the profile, the span bounds and
+        // remainingTaskTicks (as a min bound). n cycles end by the
+        // segment end and the limit and leave at least one task
+        // tick, so none of their steps is cut short and each replays
+        // the memo exactly.
+        const Tick span =
+            std::min(limit, powerCursor.nextChangeAfter(now)) - now;
+        const Tick n = std::min(span / cycle.length,
+                                (remainingTaskTicks - 1) /
+                                    cycle.activeTicks);
+        if (n > 0) {
+            const auto times = static_cast<std::uint64_t>(n);
+            remainingTaskTicks -= n * cycle.activeTicks;
+            // Every cycle ends on a completed save.
+            remainingPhaseTicks = 0;
+            deviceStats.activeTicks += n * cycle.activeTicks;
+            deviceStats.rechargeTicks += n * cycle.rechargeTicks;
+            deviceStats.powerFailures += times * cycle.powerFailures;
+            deviceStats.checkpointSaves += times * cycle.checkpointSaves;
+            // The next anchor is this one, moved: no cycle closes
+            // there.
+            anchor.taskTicks = 0;
+            return now + n * cycle.length;
+        }
+    }
+    anchor = CycleAnchor{key,
+                         now,
+                         powerCursor.position(),
+                         storage.rejectedHarvest(),
+                         remainingTaskTicks,
+                         deviceStats};
+    return now;
+}
+
+Tick
 Device::advance(Tick now, Tick limit)
 {
+    // A cycle is recorded only between anchors of one call.
+    anchor.taskTicks = 0;
     int zeroProgressStreak = 0;
     while (now < limit) {
+        if (atCycleAnchor()) {
+            const Tick reached = skipCycles(now, limit);
+            if (reached > now) {
+                now = reached;
+                zeroProgressStreak = 0;
+                continue;
+            }
+        }
+
         const bool wasActive = taskActive();
 
         const StepPlan plan = planStep(now, limit);

@@ -97,6 +97,10 @@ class Device
     /**
      * Advance through simulated time until `limit`, the loaded task
      * completes, or (when idle) forever-harvest reaches `limit`.
+     * A loop over planStep/commitStep, except that whole brown-out
+     * cycles inside one power-trace segment are skipped in O(1)
+     * once one has been seen (see CycleMemo); the result is
+     * bit-identical to the plain loop.
      * @return the tick actually reached (== limit unless the task
      *         completed earlier)
      */
@@ -211,6 +215,77 @@ class Device
     Tick progressSinceSave = 0;   ///< Periodic: uncheckpointed work
     bool periodicSaveInProgress = false;
     DeviceStats deviceStats;
+
+    /**
+     * What a just-in-time brown-out cycle (Recharging -> Restoring
+     * -> Running -> CheckpointSave -> Recharging) reads of the
+     * device at its anchor, the top of a Recharging step with a task
+     * loaded: the harvested power, the task power and the stored
+     * energy (0 after a clamping save), as raw bits.
+     */
+    struct CycleKey
+    {
+        std::uint64_t pin = 0;
+        std::uint64_t taskPower = 0;
+        std::uint64_t energy = 0;
+
+        bool operator==(const CycleKey &) const = default;
+    };
+
+    /**
+     * One-entry memo of the last whole cycle advance() saw begin and
+     * end at anchors with equal keys, on one power-trace segment:
+     * its length and what it added to the task and the stats. From
+     * an anchor with the same key the cycle replays bit for bit, so
+     * advance() adds whole multiples of it. A cache, not state: it
+     * is in neither State nor CheckpointState, and it stays valid
+     * across importState(), so one memo serves every device a fleet
+     * shard rehydrates into this object.
+     */
+    struct CycleMemo
+    {
+        CycleKey key;
+        Tick length = 0; ///< ticks per cycle; 0 while empty
+        Tick activeTicks = 0;
+        Tick rechargeTicks = 0;
+        std::uint64_t powerFailures = 0;
+        std::uint64_t checkpointSaves = 0;
+    };
+    CycleMemo cycle;
+
+    /**
+     * The last cycle anchor the running advance() call passed, kept
+     * as a member so the hot loop carries no extra frame state.
+     */
+    struct CycleAnchor
+    {
+        CycleKey key;
+        Tick now = 0;
+        std::size_t segment = 0; ///< power-trace cursor position
+        Joules rejected = 0.0;   ///< rejected-harvest total
+        Tick taskTicks = 0;      ///< 0: no anchor yet in this call
+        DeviceStats stats;
+    };
+    CycleAnchor anchor;
+
+    /**
+     * At a cycle anchor: record the memo if a cycle closes at `now`
+     * (same key, segment and rejected total as `anchor`, with task
+     * progress), then skip as many whole memoized cycles as fit
+     * before `limit`. Updates `anchor`.
+     * @return the tick reached; `now` when nothing was skipped
+     */
+    Tick skipCycles(Tick now, Tick limit);
+
+    /** True at a cycle anchor (see CycleKey). */
+    bool
+    atCycleAnchor() const
+    {
+        return currentPhase == DevicePhase::Recharging &&
+            taskActive() && !periodicSaveInProgress &&
+            profile.checkpoint.policy ==
+                app::CheckpointPolicy::JustInTime;
+    }
 
     /** Handle depletion while Running, per the checkpoint policy. */
     void onPowerFailure();

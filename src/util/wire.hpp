@@ -297,6 +297,21 @@ putDoubleRaw(char *out, double value)
 {
     return putFixed64Raw(out, std::bit_cast<std::uint64_t>(value));
 }
+
+inline char *
+putFixed32Raw(char *out, std::uint32_t value)
+{
+    for (int shift = 0; shift < 32; shift += 8)
+        *out++ = static_cast<char>((value >> shift) & 0xFFu);
+    return out;
+}
+
+/** Bytes putVarint writes for `value` (1 to 10), for exact sizing. */
+constexpr std::size_t
+varintSize(std::uint64_t value)
+{
+    return static_cast<std::size_t>(std::bit_width(value | 1u) + 6) / 7;
+}
 /// @}
 
 /**
