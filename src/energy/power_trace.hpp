@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -41,9 +42,11 @@ class PowerTrace
     /**
      * Amortized-O(1) point queries for monotone (mostly forward)
      * query sequences. A cursor remembers the segment the last query
-     * landed in and walks forward from there; a backward query
-     * re-seeks via binary search. Answers are identical to the
-     * trace's own valueAt()/nextChangeAfter() for every input.
+     * landed in, with that segment's tick range, value and next
+     * change, so queries inside it cost one range check; a query
+     * past it walks forward, and a backward query re-seeks via
+     * binary search. Answers are identical to the trace's own
+     * valueAt()/nextChangeAfter() for every input.
      *
      * The referenced trace must outlive the cursor and must not be
      * mutated while the cursor is in use.
@@ -56,13 +59,25 @@ class PowerTrace
         explicit Cursor(const PowerTrace &trace) : trace(&trace) {}
 
         /** Same answer as trace.valueAt(tick). */
-        double valueAt(Tick tick);
+        double
+        valueAt(Tick tick)
+        {
+            if (!holds(tick))
+                load(tick);
+            return value;
+        }
 
         /** Same answer as trace.nextChangeAfter(tick). */
-        Tick nextChangeAfter(Tick tick);
+        Tick
+        nextChangeAfter(Tick tick)
+        {
+            if (!holds(tick))
+                load(tick);
+            return change;
+        }
 
         /** Forget the remembered position (next query re-seeks). */
-        void reset() { index = 0; }
+        void reset() { restore(0); }
 
         /** Remembered segment index, for external snapshots. */
         std::size_t position() const { return index; }
@@ -74,9 +89,20 @@ class PowerTrace
          * their amortized-O(1) forward walk instead of re-walking the
          * trace from tick 0 every slab.
          */
-        void restore(std::size_t saved) { index = saved; }
+        void
+        restore(std::size_t saved)
+        {
+            index = saved;
+            low = high = 0;
+        }
 
       private:
+        /** True when `tick` lies in the remembered segment's range. */
+        bool holds(Tick tick) const { return tick >= low && tick < high; }
+
+        /** Seek to `tick` and remember the segment it lands in. */
+        void load(Tick tick);
+
         /** Move index to the segment holding at `tick`. */
         void seek(Tick tick);
 
@@ -87,6 +113,12 @@ class PowerTrace
         /** Index of the segment whose value holds at the last query
          *  tick (0 also covers ticks before the first segment). */
         std::size_t index = 0;
+        /** [low, high): the ticks a seek leaves at `index`; empty
+         *  until the first query and after restore(). */
+        Tick low = 0;
+        Tick high = 0;
+        double value = 0.0;      ///< the value over [low, high)
+        Tick change = kTickNever; ///< nextChangeAfter over [low, high)
     };
 
     /** Empty trace; valueAt() returns 0 until segments are added. */
@@ -197,31 +229,31 @@ PowerTrace::Cursor::seek(Tick tick)
         ++index;
 }
 
-inline double
-PowerTrace::Cursor::valueAt(Tick tick)
+inline void
+PowerTrace::Cursor::load(Tick tick)
 {
-    if (trace == nullptr || trace->segments.empty())
-        return 0.0;
-    seek(tick);
-    return trace->segments[index].value;
-}
-
-inline Tick
-PowerTrace::Cursor::nextChangeAfter(Tick tick)
-{
-    if (trace == nullptr || trace->segments.empty())
-        return kTickNever;
+    if (trace == nullptr || trace->segments.empty()) {
+        low = std::numeric_limits<Tick>::min();
+        high = kTickNever;
+        value = 0.0;
+        change = kTickNever;
+        return;
+    }
     seek(tick);
     const auto &segments = trace->segments;
-    const double current = segments[index].value;
-    // First candidate strictly after tick: the next segment, or the
-    // holding segment itself when tick still precedes the first start.
-    std::size_t j = segments[index].start > tick ? index : index + 1;
-    while (j < segments.size() && segments[j].value == current)
+    // Every tick from this segment's start (from -inf for the first
+    // segment, whose value extends backward) to the next start seeks
+    // to `index` and shares one value and one next change: the first
+    // later segment with a different value.
+    low = index == 0 ? std::numeric_limits<Tick>::min()
+                     : segments[index].start;
+    high = index + 1 < segments.size() ? segments[index + 1].start
+                                       : kTickNever;
+    value = segments[index].value;
+    std::size_t j = index + 1;
+    while (j < segments.size() && segments[j].value == value)
         ++j;
-    if (j == segments.size())
-        return kTickNever;
-    return segments[j].start;
+    change = j == segments.size() ? kTickNever : segments[j].start;
 }
 
 } // namespace energy

@@ -115,7 +115,8 @@ firstCaptureAtOrAfter(Tick offset, Tick period, Tick from)
 void
 advanceBlock(CohortBlock &block, const CohortConfig &cohort,
              const CohortRuntime &runtime, const Directive &directive,
-             Tick slabStart, Tick slabEnd, CohortCounters &report)
+             Tick slabStart, Tick slabEnd, CohortCounters &report,
+             std::uint64_t &steps)
 {
     sim::Device scratch(runtime.profile, runtime.watts);
     const Tick period = cohort.capturePeriod;
@@ -242,6 +243,7 @@ advanceBlock(CohortBlock &block, const CohortConfig &cohort,
         if (after.phase == sim::DevicePhase::Recharging)
             ++report.devicesOff;
     }
+    steps += scratch.steps();
 }
 
 /** Counter fields that accumulate across slabs (not the gauges). */
@@ -497,6 +499,8 @@ runFleet(const FleetConfig &config, const FleetOptions &options)
     std::vector<CohortCounters> shardTotals(shards);
     std::vector<std::vector<CohortCounters>> reports(
         shards, std::vector<CohortCounters>(cohortCount));
+    // Device steps per shard: a work counter, outside every snapshot.
+    std::vector<std::uint64_t> shardSteps(shards, 0);
 
     // The snapshot fingerprint and the replay log only exist when
     // the run checkpoints; a plain run pays nothing.
@@ -572,8 +576,11 @@ runFleet(const FleetConfig &config, const FleetOptions &options)
         : 1;
     // Each shard's framed snapshot section, encoded by the worker
     // that advanced the shard; the buffers are reused across
-    // barriers.
+    // barriers. So is the blob handed to the sink, unless the sink
+    // takes its buffer: refilling resident pages costs a copy, where
+    // a fresh blob also faults in every page.
     std::vector<std::string> sections(checkpointing ? shards : 0);
+    std::string blob;
 
     for (Tick slabStart = startTick; slabStart < config.horizonTicks;
          slabStart += config.slabTicks) {
@@ -596,7 +603,7 @@ runFleet(const FleetConfig &config, const FleetOptions &options)
                 reports[s][c] = CohortCounters{};
                 advanceBlock(states[s].blocks[c], config.cohorts[c],
                              runtimes[c], directives[c], slabStart,
-                             slabEnd, reports[s][c]);
+                             slabEnd, reports[s][c], shardSteps[s]);
             }
             // The columns are final for this barrier: nothing
             // between here and the snapshot touches them.
@@ -672,12 +679,14 @@ runFleet(const FleetConfig &config, const FleetOptions &options)
             // The event log is only read by the header encode;
             // swapping it in and back avoids the copy.
             snap.events.swap(emitted);
-            std::string blob = encodeFleetHeader(snap);
+            const std::string header = encodeFleetHeader(snap);
             snap.events.swap(emitted);
-            std::size_t size = blob.size();
+            std::size_t size = header.size();
             for (const std::string &section : sections)
                 size += section.size();
+            blob.clear();
             blob.reserve(size);
+            blob.append(header);
             for (const std::string &section : sections)
                 blob.append(section);
             ++checkpointsWritten;
@@ -711,6 +720,8 @@ runFleet(const FleetConfig &config, const FleetOptions &options)
     result.resumedFromTick = startTick;
     result.haltedAtTick = haltedAtTick;
     result.checkpointsWritten = checkpointsWritten;
+    for (const std::uint64_t steps : shardSteps)
+        result.deviceSteps += steps;
     result.shardTotals = std::move(shardTotals);
     result.cohorts.reserve(cohortCount);
     for (std::size_t c = 0; c < cohortCount; ++c) {

@@ -161,6 +161,12 @@ struct FleetResult
     Tick haltedAtTick = 0;
     /** Barrier snapshots handed to the checkpoint sink. */
     std::uint64_t checkpointsWritten = 0;
+    /** sim::Device::steps() summed over every block this run
+     *  advanced (none before a resume barrier): a deterministic work
+     *  counter that never reaches the text output or a snapshot.
+     *  It is independent of jobs but not of shards, since the
+     *  devices of one block share a cycle memo. */
+    std::uint64_t deviceSteps = 0;
 };
 
 /** Engine knobs. */
@@ -180,7 +186,9 @@ struct FleetOptions
     /** Receives the encoded FleetSnapshot blob and the barrier tick
      *  it was taken at, serially between slabs. Saving draws no
      *  randomness and mutates nothing, so a checkpointing run stays
-     *  byte-identical to a clean one. */
+     *  byte-identical to a clean one. A sink may move the blob out;
+     *  one that leaves it lets the engine refill the same buffer at
+     *  the next barrier. */
     std::function<void(std::string &&, Tick)> checkpointSink;
     /** Snapshot every N coordinator barriers (the final barrier at
      *  the horizon always snapshots); meaningful only with a sink. */

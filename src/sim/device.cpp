@@ -128,6 +128,17 @@ Device::applyNet(Watts net, Tick span)
         storage.draw(-delta);
 }
 
+Tick
+Device::fundableTicks(Watts pin) const
+{
+    const Watts net = pin - taskPower;
+    if (!(net < 0.0))
+        return kTickNever;
+    // Ticks until the store can no longer fund a whole tick.
+    const Joules perTick = energyOver(-net, 1);
+    return static_cast<Tick>(std::floor(storage.energy() / perTick));
+}
+
 StepPlan
 Device::planStep(Tick now, Tick limit)
 {
@@ -154,18 +165,11 @@ Device::planStep(Tick now, Tick limit)
             run = std::min(run, profile.checkpoint.periodicInterval -
                                     progressSinceSave);
         }
-        const Watts net = plan.pin - taskPower;
-        if (net < 0.0) {
-            // Ticks until the store can no longer fund a whole tick.
-            const Joules perTick = energyOver(-net, 1);
-            const auto fundable =
-                static_cast<Tick>(std::floor(storage.energy() / perTick));
-            run = std::min(run, fundable);
-        }
         // run <= 0: the store cannot fund the next tick, a power
         // failure (an immediate transition; the commit consumes no
         // time).
-        plan.run = std::max<Tick>(run, 0);
+        plan.run = std::max<Tick>(std::min(run, fundableTicks(plan.pin)),
+                                  0);
         return plan;
       }
 
@@ -331,6 +335,11 @@ Device::skipCycles(Tick now, Tick limit)
             anchor.taskTicks = 0;
             return now + n * cycle.length;
         }
+        // No whole cycle fits, so the next anchor with this key lies
+        // past the limit, the segment end or the task's completion:
+        // no cycle can close against this anchor.
+        anchor.taskTicks = 0;
+        return now;
     }
     anchor = CycleAnchor{key,
                          now,
@@ -361,6 +370,7 @@ Device::advance(Tick now, Tick limit)
 
         const StepPlan plan = planStep(now, limit);
         commitStep(plan);
+        ++stepCount;
         const Tick consumed = plan.run;
         now += consumed;
 
@@ -368,6 +378,23 @@ Device::advance(Tick now, Tick limit)
         // the completion tick.
         if (wasActive && !taskActive())
             return now;
+
+        // A just-in-time run that leaves the task loaded usually
+        // stops because the store can no longer fund a tick; then
+        // the next step would be a zero-length Running step whose
+        // commit is the power failure. Run that step's test here, on
+        // the post-commit store and the pin at the new tick (its
+        // span is at least 1, since now < limit), and fail inline.
+        if (plan.phase == DevicePhase::Running &&
+            currentPhase == DevicePhase::Running && now < limit &&
+            profile.checkpoint.policy ==
+                app::CheckpointPolicy::JustInTime &&
+            fundableTicks(powerCursor.valueAt(now)) <= 0) {
+            onPowerFailure();
+            // The plain loop counts that step as one without progress.
+            zeroProgressStreak = 1;
+            continue;
+        }
 
         // A zero-consumption step is a pure phase transition
         // (Running -> CheckpointSave, Recharging -> Restoring); the

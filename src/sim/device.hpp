@@ -99,7 +99,9 @@ class Device
      * completes, or (when idle) forever-harvest reaches `limit`.
      * A loop over planStep/commitStep, except that whole brown-out
      * cycles inside one power-trace segment are skipped in O(1)
-     * once one has been seen (see CycleMemo); the result is
+     * once one has been seen (see CycleMemo), and the zero-length
+     * step from a depleted Running span to its just-in-time power
+     * failure is folded into the span's step; the result is
      * bit-identical to the plain loop.
      * @return the tick actually reached (== limit unless the task
      *         completed earlier)
@@ -200,6 +202,13 @@ class Device
     /** The storage element (tests / reporting). */
     const energy::EnergyStorage &store() const { return storage; }
 
+    /**
+     * planStep/commitStep pairs advance() has executed since this
+     * object was constructed: a deterministic work counter, not
+     * state (no snapshot carries it, and importState() keeps it).
+     */
+    std::uint64_t steps() const { return stepCount; }
+
   private:
     const app::DeviceProfile profile;
     const energy::PowerTrace &watts;
@@ -215,6 +224,7 @@ class Device
     Tick progressSinceSave = 0;   ///< Periodic: uncheckpointed work
     bool periodicSaveInProgress = false;
     DeviceStats deviceStats;
+    std::uint64_t stepCount = 0; ///< see steps()
 
     /**
      * What a just-in-time brown-out cycle (Recharging -> Restoring
@@ -286,6 +296,13 @@ class Device
             profile.checkpoint.policy ==
                 app::CheckpointPolicy::JustInTime;
     }
+
+    /**
+     * Whole ticks the store funds while Running at harvest `pin`
+     * (kTickNever when the harvest covers the task); <= 0 means the
+     * next Running step is a power failure.
+     */
+    Tick fundableTicks(Watts pin) const;
 
     /** Handle depletion while Running, per the checkpoint policy. */
     void onPowerFailure();

@@ -245,11 +245,9 @@ Simulator::runTick(Tick horizon, Tick hardCap)
         }
         now = reached;
 
-        if (observer != nullptr) {
+        if (observer != nullptr)
             observer->setTime(now);
-            if (observer->enabled())
-                recordDeviceObs();
-        }
+        recordDeviceObs();
 
         if (hadTask && !device.taskActive() && activeJob) {
             onTaskFinished(now);
@@ -265,25 +263,30 @@ Simulator::recordDeviceObs()
 {
     const DeviceStats &ds = device.stats();
     obs::Recorder *const observer = cfg.observer;
-    if ((ds.powerFailures != obsDevice.powerFailures ||
-         ds.checkpointSaves != obsDevice.checkpointSaves) &&
-        observer->wants(obs::EventKind::PowerFailure)) {
-        obs::Event event;
-        event.kind = obs::EventKind::PowerFailure;
-        event.value = static_cast<std::int64_t>(
-            ds.powerFailures - obsDevice.powerFailures);
-        event.extra = static_cast<std::int64_t>(
-            ds.checkpointSaves - obsDevice.checkpointSaves);
-        observer->record(event);
+    if (observer != nullptr && observer->enabled()) {
+        if ((ds.powerFailures != obsDevice.powerFailures ||
+             ds.checkpointSaves != obsDevice.checkpointSaves) &&
+            observer->wants(obs::EventKind::PowerFailure)) {
+            obs::Event event;
+            event.kind = obs::EventKind::PowerFailure;
+            event.value = static_cast<std::int64_t>(
+                ds.powerFailures - obsDevice.powerFailures);
+            event.extra = static_cast<std::int64_t>(
+                ds.checkpointSaves - obsDevice.checkpointSaves);
+            observer->record(event);
+        }
+        if (ds.rechargeTicks != obsDevice.rechargeTicks &&
+            observer->wants(obs::EventKind::RechargeInterval)) {
+            obs::Event event;
+            event.kind = obs::EventKind::RechargeInterval;
+            event.value = static_cast<std::int64_t>(
+                ds.rechargeTicks - obsDevice.rechargeTicks);
+            observer->record(event);
+        }
     }
-    if (ds.rechargeTicks != obsDevice.rechargeTicks &&
-        observer->wants(obs::EventKind::RechargeInterval)) {
-        obs::Event event;
-        event.kind = obs::EventKind::RechargeInterval;
-        event.value = static_cast<std::int64_t>(
-            ds.rechargeTicks - obsDevice.rechargeTicks);
-        observer->record(event);
-    }
+    // The watermark advances whether or not anything observes the
+    // run, so a checkpoint saved without a sink resumes into an
+    // observed run with no catch-up event.
     obsDevice = ds;
 }
 

@@ -209,7 +209,10 @@ class Simulator
         return metrics.iboDropsInteresting + metrics.iboDropsUninteresting;
     }
 
-    /** Emit power-failure / recharge deltas since the last call. */
+    /**
+     * Emit power-failure / recharge deltas since the last call when
+     * the run is observed; advance the watermark (obsDevice) always.
+     */
     void recordDeviceObs();
 
     SimulationConfig cfg;

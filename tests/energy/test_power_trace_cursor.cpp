@@ -3,11 +3,14 @@
  * Differential tests for PowerTrace::Cursor: the amortized-O(1)
  * cursor must answer every query sequence — forward, repeated,
  * backward, at and around segment boundaries — identically to a
- * naive linear-scan oracle and to the trace's own O(log n) queries.
+ * naive linear-scan oracle and to the trace's own O(log n) queries,
+ * and its cached segment must never show: position() follows the
+ * plain seek rule at every query, across restore() and reset().
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "energy/power_trace.hpp"
@@ -77,6 +80,49 @@ interestingTicks(const PowerTrace &trace)
     }
     ticks.push_back(trace.data().back().start + 1'000'000);
     return ticks;
+}
+
+/**
+ * Where a cursor without a cached segment is left by a query at
+ * `tick`, starting from remembered index `index`: an out-of-range
+ * index restarts at 0, a tick before the remembered segment's start
+ * re-seeks to the last segment starting at or before it (0 before
+ * the first), and otherwise the index walks forward.
+ */
+std::size_t
+plainSeek(const PowerTrace &trace, std::size_t index, Tick tick)
+{
+    const auto &segments = trace.data();
+    if (segments.empty())
+        return index;
+    if (index >= segments.size())
+        index = 0;
+    if (tick < segments[index].start) {
+        index = 0;
+        for (std::size_t i = 0; i < segments.size(); ++i) {
+            if (segments[i].start <= tick)
+                index = i;
+        }
+        return index;
+    }
+    while (index + 1 < segments.size() &&
+           segments[index + 1].start <= tick)
+        ++index;
+    return index;
+}
+
+/** One query pair checked against the oracles and the seek rule. */
+void
+expectQuery(PowerTrace::Cursor &cursor, const PowerTrace &trace,
+            std::size_t &expectedIndex, Tick tick)
+{
+    SCOPED_TRACE(tick);
+    expectedIndex = plainSeek(trace, expectedIndex, tick);
+    EXPECT_EQ(cursor.valueAt(tick), naiveValueAt(trace, tick));
+    EXPECT_EQ(cursor.position(), expectedIndex);
+    EXPECT_EQ(cursor.nextChangeAfter(tick),
+              naiveNextChangeAfter(trace, tick));
+    EXPECT_EQ(cursor.position(), expectedIndex);
 }
 
 TEST(PowerTraceCursor, MatchesOracleOnMonotoneQueries)
@@ -172,6 +218,96 @@ TEST(PowerTraceCursor, InterleavedCursorsDoNotInterfere)
         const Tick near = rng.uniformInt(0, span / 2);
         EXPECT_EQ(ahead.valueAt(far), naiveValueAt(trace, far));
         EXPECT_EQ(behind.valueAt(near), naiveValueAt(trace, near));
+    }
+}
+
+TEST(PowerTraceCursor, CachedSegmentMatchesPlainSeekEverywhere)
+{
+    // Runs of equal-valued neighbours (built directly: fromSamples
+    // would merge them), a first segment starting after tick 0, and
+    // every query order: forward inside one segment, backward after
+    // the segment is cached, before the first start, and after
+    // restore() to any position, in range or not.
+    util::Rng rng(515);
+    for (int trial = 0; trial < 60; ++trial) {
+        SCOPED_TRACE(trial);
+        std::vector<PowerTrace::Segment> segments;
+        Tick start = rng.uniformInt(1, 40);
+        double value = 0.5;
+        const auto count =
+            static_cast<std::size_t>(rng.uniformInt(1, 12));
+        for (std::size_t i = 0; i < count; ++i) {
+            if (rng.bernoulli(0.5))
+                value = static_cast<double>(rng.uniformInt(0, 2));
+            segments.push_back({start, value});
+            start += rng.uniformInt(1, 30);
+        }
+        const PowerTrace trace(std::move(segments));
+        const Tick end = trace.data().back().start + 40;
+
+        PowerTrace::Cursor cursor = trace.cursor();
+        std::size_t expected = 0;
+        for (int query = 0; query < 300; ++query) {
+            const Tick first = query == 0 ? 0 : rng.uniformInt(0, end);
+            switch (rng.uniformInt(0, 5)) {
+              case 0: {
+                // Arbitrary restore, sometimes past the last index.
+                const auto saved = static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<Tick>(count) + 2));
+                cursor.restore(saved);
+                expected = saved;
+                break;
+              }
+              case 1:
+                cursor.reset();
+                expected = 0;
+                break;
+              default:
+                break;
+            }
+            expectQuery(cursor, trace, expected, first);
+            // Then a short walk: forward by small steps (often inside
+            // the cached segment), one step back, and a tick before
+            // the first segment.
+            Tick tick = first;
+            for (int step = 0; step < 4; ++step) {
+                tick += rng.uniformInt(0, 6);
+                expectQuery(cursor, trace, expected, tick);
+            }
+            expectQuery(cursor, trace, expected,
+                        std::max<Tick>(0, tick - rng.uniformInt(1, 8)));
+            if (rng.bernoulli(0.1))
+                expectQuery(cursor, trace, expected,
+                            trace.data().front().start -
+                                rng.uniformInt(1, 5));
+            if (::testing::Test::HasFailure())
+                return;
+        }
+    }
+}
+
+TEST(PowerTraceCursor, OneSegmentAndEmptyTracesCacheCorrectly)
+{
+    const PowerTrace one({{100, 0.25}});
+    PowerTrace::Cursor cursor = one.cursor();
+    std::size_t expected = 0;
+    for (const Tick tick : {Tick{500}, Tick{0}, Tick{99}, Tick{100},
+                            Tick{-7}, kTickNever - 1, Tick{100}}) {
+        expectQuery(cursor, one, expected, tick);
+        EXPECT_EQ(cursor.valueAt(tick), 0.25);
+        EXPECT_EQ(cursor.nextChangeAfter(tick), kTickNever);
+    }
+    cursor.restore(3);
+    expected = 3;
+    expectQuery(cursor, one, expected, 50);
+
+    const PowerTrace empty;
+    PowerTrace::Cursor none = empty.cursor();
+    none.restore(2);
+    for (const Tick tick : {Tick{0}, Tick{10}, Tick{5}}) {
+        EXPECT_EQ(none.valueAt(tick), 0.0);
+        EXPECT_EQ(none.nextChangeAfter(tick), kTickNever);
+        EXPECT_EQ(none.position(), 2u);
     }
 }
 

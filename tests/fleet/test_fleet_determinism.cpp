@@ -156,4 +156,22 @@ TEST(FleetDeterminism, StateStaysCompact)
     EXPECT_GT(observed.result.fleetTotals.degradedJobs, 0u);
 }
 
+TEST(FleetDeterminism, DeviceStepCountIsPinned)
+{
+    // The device work counter is host-independent: a fixed shape
+    // executes exactly this many plan/commit steps at any --jobs. A
+    // change that makes the device advance do more (or less) work
+    // moves it; update the pin only with the reason.
+    fleet::FleetConfig config = tenKConfig(/*shards=*/4);
+    for (fleet::CohortConfig &cohort : config.cohorts)
+        cohort.devices = 250;
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(jobs);
+        fleet::FleetOptions options;
+        options.jobs = jobs;
+        const fleet::FleetResult result = fleet::runFleet(config, options);
+        EXPECT_EQ(result.deviceSteps, 773297u);
+    }
+}
+
 } // namespace

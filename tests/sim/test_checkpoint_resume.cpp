@@ -259,6 +259,69 @@ TEST(CheckpointResume, JitterAndTelemetryCostsCarryAcrossResume)
               eventBytes(resumed.events));
 }
 
+TEST(CheckpointResume, SavedWithoutASinkResumesIntoAnObservedRun)
+{
+    // The device-counter watermark the power-failure and recharge
+    // events diff against advances whether or not a sink observes
+    // the run. So a blob saved with no sink resumes into an observed
+    // run that replays the straight observed run's suffix exactly,
+    // with no catch-up event covering the unobserved stretch.
+    const ExperimentConfig config = baseConfig();
+    const RunCapture straight = runCaptured(config);
+
+    // The observed saving run gives the exact split: how many events
+    // precede each checkpoint.
+    std::vector<std::size_t> eventsBefore;
+    obs::VectorSink savingSink;
+    ExperimentConfig observed = config;
+    observed.obsSink = &savingSink;
+    observed.sim.checkpointEveryCaptures = 20;
+    observed.sim.checkpointSink = [&](std::string &&, Tick) {
+        eventsBefore.push_back(savingSink.events().size());
+    };
+    (void)runExperiment(observed);
+
+    std::vector<Snapshot> blobs;
+    ExperimentConfig unobserved = config;
+    unobserved.obsSink = nullptr;
+    unobserved.sim.checkpointEveryCaptures = 20;
+    unobserved.sim.checkpointSink = [&](std::string &&state, Tick now) {
+        blobs.emplace_back(std::move(state), now);
+    };
+    (void)runExperiment(unobserved);
+    ASSERT_GE(blobs.size(), 2u);
+    ASSERT_EQ(blobs.size(), eventsBefore.size());
+
+    // Only boundaries after the device's first failure or recharge
+    // test anything: before it, a watermark left at zero is right.
+    Tick firstDeviceEvent = kTickNever;
+    for (const obs::Event &event : straight.events) {
+        if (event.kind == obs::EventKind::PowerFailure ||
+            event.kind == obs::EventKind::RechargeInterval) {
+            firstDeviceEvent = event.tick;
+            break;
+        }
+    }
+    std::size_t resumes = 0;
+    for (std::size_t i = 0; i < blobs.size() && resumes < 3; ++i) {
+        if (blobs[i].second <= firstDeviceEvent)
+            continue;
+        ++resumes;
+        SCOPED_TRACE(blobs[i].second);
+        const RunCapture resumed =
+            runCaptured(config, 0, false, &blobs[i].first);
+        ASSERT_LT(eventsBefore[i], straight.events.size());
+        const std::vector<obs::Event> suffix(
+            straight.events.begin() +
+                static_cast<std::ptrdiff_t>(eventsBefore[i]),
+            straight.events.end());
+        EXPECT_EQ(eventBytes(suffix), eventBytes(resumed.events));
+        EXPECT_EQ(metricsLine(straight.metrics),
+                  metricsLine(resumed.metrics));
+    }
+    EXPECT_GT(resumes, 0u);
+}
+
 // --- Committed resume golden -------------------------------------------
 //
 // The acceptance artifact: a checked-in straight-run trace that both
