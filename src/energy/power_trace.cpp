@@ -224,11 +224,21 @@ PowerTrace
 PowerTrace::readCsv(std::istream &in)
 {
     std::vector<Segment> segments;
+    std::size_t index = 0;
     for (const auto &row : util::readCsv(in)) {
+        const std::string where =
+            "power trace CSV row " + std::to_string(++index);
         if (row.size() != 2)
-            util::fatal("power trace CSV rows must be time,value");
-        segments.push_back({secondsToTicks(util::parseDouble(row[0])),
-                            util::parseDouble(row[1])});
+            util::fatal(where + ": rows must be time,value");
+        const Segment segment{
+            secondsToTicks(util::parseDouble(row[0], where + " time")),
+            util::parseDouble(row[1], where + " value")};
+        if (segment.value < 0.0)
+            util::fatal(where + ": negative value " + row[1]);
+        if (!segments.empty() && segment.start <= segments.back().start)
+            util::fatal(where + ": time " + row[0] +
+                        " s is not after the previous row's");
+        segments.push_back(segment);
     }
     return PowerTrace(std::move(segments));
 }

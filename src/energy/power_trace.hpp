@@ -200,7 +200,8 @@ class PowerTrace
 
     /**
      * Parse from CSV rows "time_seconds,value" (comments allowed).
-     * Calls fatal() on malformed input.
+     * Calls fatal(), naming the row, on a malformed row, a negative
+     * value, or a time not after the previous row's.
      */
     static PowerTrace readCsv(std::istream &in);
 

@@ -21,6 +21,7 @@
 #ifndef QUETZAL_FLEET_COORDINATOR_HPP
 #define QUETZAL_FLEET_COORDINATOR_HPP
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -46,6 +47,13 @@ struct Directive
     /** Charge at or below this (nJ) forces pressureLevel. */
     std::uint64_t chargeLowNano = 0;
 };
+
+/** Nanojoules of a joule quantity, rounded to nearest. */
+inline std::uint64_t
+toNano(Joules joules)
+{
+    return static_cast<std::uint64_t>(std::llround(joules * 1e9));
+}
 
 /** Execution ticks of one job at a degradation level. */
 inline Tick

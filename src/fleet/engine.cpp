@@ -26,25 +26,6 @@ namespace {
  *  scratch byte). */
 constexpr std::uint8_t kRecoveryCooldown = 2;
 
-/** SplitMix64 finalizer: the per-device / per-capture hash behind
- *  phase offsets and drop classification. Depends only on cohort
- *  seed and *global* device index, never on the shard layout. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-/** Nanojoules of a joule quantity, rounded to nearest. */
-std::uint64_t
-toNano(Joules joules)
-{
-    return static_cast<std::uint64_t>(std::llround(joules * 1e9));
-}
-
 /** P(interesting) of a capture, by crowdedness preset. */
 double
 interestingProbability(trace::EnvironmentPreset preset)

@@ -23,6 +23,19 @@
 namespace quetzal {
 namespace fleet {
 
+/** SplitMix64 finalizer: the per-device / per-capture hash behind
+ *  phase offsets and drop classification, and the shard-section
+ *  fingerprint of snapshots. Depends only on cohort seed and *global*
+ *  device index, never on the shard layout. */
+inline std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
 /**
  * The devices of one cohort assigned to one shard. Device `i` of a
  * block is global device index firstDevice + i of its cohort —

@@ -413,12 +413,10 @@ namespace {
 /**
  * Run a validated spec's fleet block: fleet rollups and summaries to
  * stdout, rollup events into a sink when the spec requests traces or
- * the aggregate rollup. Returns 0; fills `metricsOut` (when given)
- * with the per-cohort metrics, in cohort order.
+ * the aggregate rollup. Returns 0.
  */
 int
-runFleetSpec(const ScenarioSpec &spec, const EngineOptions &options,
-             std::vector<sim::Metrics> *metricsOut)
+runFleetSpec(const ScenarioSpec &spec, const EngineOptions &options)
 {
     const fleet::FleetConfig config = buildFleetConfig(spec);
 
@@ -521,20 +519,12 @@ runFleetSpec(const ScenarioSpec &spec, const EngineOptions &options,
             util::fatal(util::msg("error writing episode trace: ",
                                   options.fleetEpisodeTracePath));
     }
-
-    if (metricsOut) {
-        metricsOut->clear();
-        for (const fleet::CohortResult &cohort : result.cohorts)
-            metricsOut->push_back(cohort.metrics);
-    }
     return 0;
 }
 
 int
 runScenarioFileImpl(const std::string &path,
-                    const EngineOptions &options,
-                    std::vector<sim::Metrics> *metricsOut,
-                    bool requireFleet)
+                    const EngineOptions &options, bool requireFleet)
 {
     const auto reportErrors = [&](const std::vector<SpecError> &errors,
                                   const char *stage) {
@@ -579,7 +569,7 @@ runScenarioFileImpl(const std::string &path,
         }
         // --events applies to run-matrix event traces; the fleet's
         // workload is set by the spec's capture/horizon parameters.
-        return runFleetSpec(*spec.value, options, metricsOut);
+        return runFleetSpec(*spec.value, options);
     }
 
     CompileOptions compileOptions;
@@ -598,10 +588,7 @@ runScenarioFileImpl(const std::string &path,
         return 0;
     }
 
-    std::vector<sim::Metrics> results =
-        runPlan(*plan.value, options);
-    if (metricsOut)
-        *metricsOut = std::move(results);
+    runPlan(*plan.value, options);
     return 0;
 }
 
@@ -610,7 +597,13 @@ runScenarioFileImpl(const std::string &path,
 int
 runScenarioFile(const std::string &path, const EngineOptions &options)
 {
-    return runScenarioFileImpl(path, options, nullptr, false);
+    return runScenarioFileImpl(path, options, false);
+}
+
+int
+runFleetFile(const std::string &path, const EngineOptions &options)
+{
+    return runScenarioFileImpl(path, options, true);
 }
 
 fleet::FleetConfig
@@ -686,42 +679,6 @@ buildFleetConfig(const ScenarioSpec &spec)
         config.cohorts.push_back(std::move(cohort));
     }
     return config;
-}
-
-void
-installRunHandlers(sim::RunDispatcher &dispatcher)
-{
-    const auto toOptions = [](const sim::RunRequest &request) {
-        EngineOptions options;
-        options.jobs = request.jobs;
-        options.validateOnly = request.validateOnly;
-        options.eventCountOverride = request.eventCountOverride;
-        options.fleetCheckpointPath = request.fleetCheckpointPath;
-        options.fleetCheckpointEverySlabs =
-            request.fleetCheckpointEverySlabs;
-        options.fleetStopAfterSeconds = request.fleetStopAfterSeconds;
-        options.fleetResumePath = request.fleetResumePath;
-        options.fleetEpisodeTracePath = request.fleetEpisodeTracePath;
-        return options;
-    };
-    dispatcher.setHandler(
-        sim::RunKind::Scenario,
-        [toOptions](const sim::RunRequest &request) {
-            sim::RunOutcome outcome;
-            outcome.exitCode = runScenarioFileImpl(
-                request.scenarioPath, toOptions(request),
-                &outcome.metrics, false);
-            return outcome;
-        });
-    dispatcher.setHandler(
-        sim::RunKind::Fleet,
-        [toOptions](const sim::RunRequest &request) {
-            sim::RunOutcome outcome;
-            outcome.exitCode = runScenarioFileImpl(
-                request.scenarioPath, toOptions(request),
-                &outcome.metrics, true);
-            return outcome;
-        });
 }
 
 } // namespace scenario

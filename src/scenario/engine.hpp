@@ -27,7 +27,7 @@
 namespace quetzal {
 namespace scenario {
 
-/** Engine knobs (CLI flags). */
+/** Engine knobs (quetzal-sim's scenario and fleet flags). */
 struct EngineOptions
 {
     /** Worker threads; 0 = sim::defaultJobs() (QUETZAL_JOBS). */
@@ -37,13 +37,22 @@ struct EngineOptions
     /** Compile + validate only; don't run (quetzal_sim --validate). */
     bool validateOnly = false;
 
-    /** @name Fleet barrier checkpointing (DESIGN.md section 17);
-     *  mirrors the sim::RunRequest fields of the same names. */
+    /** @name Fleet barrier checkpointing (DESIGN.md section 17) */
     /// @{
+    /** Append a QZCK barrier snapshot stream here ("" = no
+     *  checkpointing). */
     std::string fleetCheckpointPath;
+    /** Snapshot cadence in coordinator barriers (0 = the scenario's
+     *  fleet.checkpoint_slabs, itself defaulting to 1). */
     unsigned fleetCheckpointEverySlabs = 0;
+    /** Halt cleanly after the first barrier at or past this many
+     *  simulated seconds (0 = run to the horizon). */
     long long fleetStopAfterSeconds = 0;
+    /** Resume from the last complete record of this QZCK stream
+     *  ("" = start at tick 0). */
     std::string fleetResumePath;
+    /** Write checkpoint/restore episode events (JSONL) here ("" =
+     *  discard them); never mixed into the run trace. */
     std::string fleetEpisodeTracePath;
     /// @}
 };
@@ -68,6 +77,14 @@ int runScenarioFile(const std::string &path,
                     const EngineOptions &options = {});
 
 /**
+ * runScenarioFile() for a file that must have a "fleet" block
+ * (quetzal-sim --fleet): a file without one is a validation error,
+ * reported the same way, and nothing runs.
+ */
+int runFleetFile(const std::string &path,
+                 const EngineOptions &options = {});
+
+/**
  * Lower a validated scenario's "fleet" block onto the fleet engine's
  * config. Each cohort starts from the fleet-scale CohortConfig
  * defaults; the referenced population's overrides (after scenario
@@ -77,16 +94,6 @@ int runScenarioFile(const std::string &path,
  * Precondition: validateSpec(spec) passed and spec.fleet is present.
  */
 fleet::FleetConfig buildFleetConfig(const ScenarioSpec &spec);
-
-/**
- * Install the Scenario and Fleet handlers on a RunDispatcher (the
- * built-in Experiment/Ensemble/Batch handlers live in sim; these two
- * are installed here so src/sim does not depend on the scenario
- * parser). Scenario runs runScenarioFile() — which itself routes to
- * the fleet engine when the file has a "fleet" block; Fleet requires
- * the block and fails with exit code 1 if it is missing.
- */
-void installRunHandlers(sim::RunDispatcher &dispatcher);
 
 } // namespace scenario
 } // namespace quetzal

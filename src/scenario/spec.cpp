@@ -25,47 +25,19 @@ deviceFromName(const std::string &name)
     return std::nullopt;
 }
 
-std::optional<trace::EnvironmentPreset>
-environmentFromName(const std::string &name)
-{
-    using E = trace::EnvironmentPreset;
-    if (name == "more-crowded")
-        return E::MoreCrowded;
-    if (name == "crowded")
-        return E::Crowded;
-    if (name == "less-crowded")
-        return E::LessCrowded;
-    if (name == "msp430")
-        return E::Msp430Short;
-    return std::nullopt;
-}
+/** ControllerKind values, declaration order (Ideal is the last). */
+constexpr int kControllerKinds =
+    static_cast<int>(sim::ControllerKind::Ideal) + 1;
 
+/** The kind whose controllerKindName() is `name`. */
 std::optional<sim::ControllerKind>
 controllerFromName(const std::string &name)
 {
-    using K = sim::ControllerKind;
-    if (name == "QZ")
-        return K::Quetzal;
-    if (name == "QZ-FCFS")
-        return K::QuetzalFcfs;
-    if (name == "QZ-LCFS")
-        return K::QuetzalLcfs;
-    if (name == "QZ-AvgSe2e")
-        return K::QuetzalAvgSe2e;
-    if (name == "NA")
-        return K::NoAdapt;
-    if (name == "AD")
-        return K::AlwaysDegrade;
-    if (name == "CN")
-        return K::CatNap;
-    if (name == "THR")
-        return K::BufferThreshold;
-    if (name == "PZO")
-        return K::Zgo;
-    if (name == "PZI")
-        return K::Zgi;
-    if (name == "Ideal")
-        return K::Ideal;
+    for (int k = 0; k < kControllerKinds; ++k) {
+        const auto kind = static_cast<sim::ControllerKind>(k);
+        if (sim::controllerKindName(kind) == name)
+            return kind;
+    }
     return std::nullopt;
 }
 
@@ -365,21 +337,26 @@ const FieldInfo kFields[] = {
      "\"msp430\"",
      [](const json::Value &v, std::string &) {
          const auto name = v.asString();
-         return name && environmentFromName(*name).has_value();
+         return name && trace::environmentFromName(*name).has_value();
      },
      [](const json::Value &v, sim::ExperimentConfig &cfg) {
-         cfg.environment = *environmentFromName(*v.asString());
+         cfg.environment = *trace::environmentFromName(*v.asString());
      },
      [](const json::Value &v) {
          return trace::environmentName(
-             *environmentFromName(*v.asString()));
+             *trace::environmentFromName(*v.asString()));
      }},
-    {"controller",
-     "one of \"QZ\", \"QZ-FCFS\", \"QZ-LCFS\", \"QZ-AvgSe2e\", "
-     "\"NA\", \"AD\", \"CN\", \"THR\", \"PZO\", \"PZI\", \"Ideal\"",
-     [](const json::Value &v, std::string &) {
+    {"controller", "",
+     [](const json::Value &v, std::string &why) {
          const auto name = v.asString();
-         return name && controllerFromName(*name).has_value();
+         if (name && controllerFromName(*name))
+             return true;
+         why = "must be one of";
+         for (int k = 0; k < kControllerKinds; ++k)
+             why += (k ? ", \"" : " \"") +
+                 sim::controllerKindName(
+                     static_cast<sim::ControllerKind>(k)) + '"';
+         return false;
      },
      [](const json::Value &v, sim::ExperimentConfig &cfg) {
          cfg.controller = *controllerFromName(*v.asString());
@@ -455,9 +432,10 @@ const FieldInfo kFields[] = {
              static_cast<std::uint32_t>(*v.asUint64());
      },
      nullptr},
-    {"buffer_threshold", "a number in [0, 1]",
+    {"buffer_threshold", "a number in (0, 1]",
      [](const json::Value &v, std::string &) {
-         return doubleInRange(v, 0.0, 1.0);
+         const auto fraction = v.asDouble();
+         return fraction && *fraction > 0.0 && *fraction <= 1.0;
      },
      [](const json::Value &v, sim::ExperimentConfig &cfg) {
          cfg.bufferThreshold = *v.asDouble();
@@ -1546,112 +1524,6 @@ loadScenarioFile(const std::string &path)
     std::ostringstream text;
     text << in.rdbuf();
     return parseScenarioText(text.str());
-}
-
-ScenarioBuilder::ScenarioBuilder(std::string name)
-{
-    spec.name = std::move(name);
-}
-
-ScenarioBuilder &
-ScenarioBuilder::describe(std::string text)
-{
-    spec.description = std::move(text);
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::setDefault(const std::string &field, json::Value value)
-{
-    spec.defaults.push_back(
-        {field, std::move(value), "defaults." + field});
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::addPopulation(const std::string &name)
-{
-    PopulationSpec population;
-    population.name = name;
-    population.path =
-        "populations[" + std::to_string(spec.populations.size()) + "]";
-    spec.populations.push_back(std::move(population));
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::set(const std::string &field, json::Value value)
-{
-    if (spec.populations.empty()) {
-        buildErrors.push_back(
-            {"populations",
-             "set(\"" + field + "\") before any addPopulation()"});
-        return *this;
-    }
-    PopulationSpec &population = spec.populations.back();
-    population.overrides.push_back(
-        {field, std::move(value), population.path + "." + field});
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::addAxis(const std::string &field,
-                         std::vector<json::Value> values)
-{
-    SweepAxis axis;
-    axis.field = field;
-    axis.values = std::move(values);
-    axis.path = "sweep.axes[" + std::to_string(spec.axes.size()) + "]";
-    spec.axes.push_back(std::move(axis));
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::zip()
-{
-    spec.mode = SweepMode::Zip;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::maxRuns(std::uint64_t limit)
-{
-    spec.maxRuns = limit;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::summary(bool enabled)
-{
-    spec.output.summary = enabled;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::rollup(bool enabled)
-{
-    spec.output.rollup = enabled;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::league(bool enabled)
-{
-    spec.output.league = enabled;
-    return *this;
-}
-
-Expected<ScenarioSpec>
-ScenarioBuilder::build() const
-{
-    Expected<ScenarioSpec> result;
-    result.errors = buildErrors;
-    const std::vector<SpecError> semantic = validateSpec(spec);
-    result.errors.insert(result.errors.end(), semantic.begin(),
-                         semantic.end());
-    if (result.errors.empty())
-        result.value = spec;
-    return result;
 }
 
 } // namespace scenario

@@ -21,6 +21,20 @@ environmentName(EnvironmentPreset preset)
     util::panic("unknown environment preset");
 }
 
+std::optional<EnvironmentPreset>
+environmentFromName(const std::string &name)
+{
+    if (name == "more-crowded")
+        return EnvironmentPreset::MoreCrowded;
+    if (name == "crowded")
+        return EnvironmentPreset::Crowded;
+    if (name == "less-crowded")
+        return EnvironmentPreset::LessCrowded;
+    if (name == "msp430")
+        return EnvironmentPreset::Msp430Short;
+    return std::nullopt;
+}
+
 EventGeneratorConfig
 EventGeneratorConfig::forPreset(EnvironmentPreset preset,
                                 std::size_t eventCount, std::uint64_t seed)

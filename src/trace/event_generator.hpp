@@ -16,6 +16,7 @@
 #define QUETZAL_TRACE_EVENT_GENERATOR_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "trace/event_trace.hpp"
@@ -34,6 +35,13 @@ enum class EnvironmentPreset {
 
 /** Human-readable preset name. */
 std::string environmentName(EnvironmentPreset preset);
+
+/**
+ * The preset a scenario file or CLI flag names ("more-crowded",
+ * "crowded", "less-crowded", "msp430"); empty for any other text.
+ */
+std::optional<EnvironmentPreset> environmentFromName(
+    const std::string &name);
 
 /** Configuration for EventGenerator. */
 struct EventGeneratorConfig

@@ -99,6 +99,9 @@ parseDouble(const std::string &field, const std::string &what)
     // ERANGE also flags underflow, which rounds to a usable value.
     if (errno == ERANGE && std::abs(value) == HUGE_VAL)
         fatal(msg("out-of-range number for ", what, ": '", field, "'"));
+    // strtod also reads "nan" and "inf"; no field or flag means them.
+    if (!std::isfinite(value))
+        fatal(msg("malformed number for ", what, ": '", field, "'"));
     return value;
 }
 

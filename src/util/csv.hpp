@@ -51,9 +51,9 @@ class CsvWriter
 };
 
 /**
- * Parse `field` as a double. Calls fatal(), naming `what` (a CLI
- * flag, or "CSV field"), when the text is empty, carries trailing
- * junk, or overflows a double.
+ * Parse `field` as a finite double. Calls fatal(), naming `what` (a
+ * CLI flag, or "CSV field"), when the text is empty, carries trailing
+ * junk, overflows a double, or spells a NaN or an infinity.
  */
 double parseDouble(const std::string &field,
                    const std::string &what = "CSV field");

@@ -101,14 +101,41 @@ TEST(PowerTrace, Scaled)
 
 TEST(PowerTrace, CsvRoundTrip)
 {
-    PowerTrace trace({{0, 1.5}, {10'000, 0.25}});
+    PowerTrace trace({{0, 1.5}, {10'000, 0.25}, {20'000, 0.0}});
     std::ostringstream out;
     trace.writeCsv(out);
     std::istringstream in(out.str());
     const PowerTrace parsed = PowerTrace::readCsv(in);
-    EXPECT_EQ(parsed.segmentCount(), 2u);
+    EXPECT_EQ(parsed.segmentCount(), 3u);
     EXPECT_DOUBLE_EQ(parsed.valueAt(0), 1.5);
     EXPECT_DOUBLE_EQ(parsed.valueAt(10'000), 0.25);
+    EXPECT_DOUBLE_EQ(parsed.valueAt(20'000), 0.0);
+}
+
+TEST(PowerTraceDeathTest, CsvNegativeValueIsFatalNamingTheRow)
+{
+    std::istringstream in("# time_seconds,value\n0,1.5\n200,-0.5\n");
+    EXPECT_EXIT(PowerTrace::readCsv(in), ::testing::ExitedWithCode(1),
+                "power trace CSV row 2: negative value -0.5");
+}
+
+TEST(PowerTraceDeathTest, CsvOutOfOrderTimeIsFatalNamingTheRow)
+{
+    // A clean error (exit 1), not the constructor's invariant panic.
+    std::istringstream in("0,1.5\n200,0.5\n100,0.25\n");
+    EXPECT_EXIT(PowerTrace::readCsv(in), ::testing::ExitedWithCode(1),
+                "power trace CSV row 3: time 100 s is not after");
+    // Times that round to the same tick are not "after" either.
+    std::istringstream same("0,1.5\n0.0001,0.5\n");
+    EXPECT_EXIT(PowerTrace::readCsv(same), ::testing::ExitedWithCode(1),
+                "power trace CSV row 2: time 0.0001 s");
+}
+
+TEST(PowerTraceDeathTest, CsvNonFiniteValueIsFatalNamingTheRow)
+{
+    std::istringstream in("0,1.5\n100,nan\n");
+    EXPECT_EXIT(PowerTrace::readCsv(in), ::testing::ExitedWithCode(1),
+                "malformed number for power trace CSV row 2 value");
 }
 
 TEST(PowerTraceDeathTest, UnsortedSegmentsPanic)

@@ -54,6 +54,21 @@ TEST(EventGenerator, MoreCrowdedHasLongerEvents)
     EXPECT_GT(more.activityDutyCycle, less.activityDutyCycle);
 }
 
+TEST(EventGenerator, EnvironmentFromNameCoversEveryPreset)
+{
+    EXPECT_EQ(environmentFromName("more-crowded"),
+              EnvironmentPreset::MoreCrowded);
+    EXPECT_EQ(environmentFromName("crowded"), EnvironmentPreset::Crowded);
+    EXPECT_EQ(environmentFromName("less-crowded"),
+              EnvironmentPreset::LessCrowded);
+    EXPECT_EQ(environmentFromName("msp430"),
+              EnvironmentPreset::Msp430Short);
+    // Only the flag spellings; display names and other text are not.
+    EXPECT_FALSE(environmentFromName("Crowded").has_value());
+    EXPECT_FALSE(environmentFromName("mars").has_value());
+    EXPECT_FALSE(environmentFromName("").has_value());
+}
+
 TEST(TraceStats, ExpectedStoredInputsScalesWithRate)
 {
     const auto stats = computeStats(

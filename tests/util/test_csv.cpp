@@ -57,6 +57,8 @@ TEST(Csv, WriterRoundTrip)
 TEST(Csv, ParseNumbers)
 {
     EXPECT_DOUBLE_EQ(parseDouble("3.25e-2"), 0.0325);
+    EXPECT_DOUBLE_EQ(parseDouble("1.7976931348623157e308"),
+                     1.7976931348623157e308);
     EXPECT_EQ(parseInt("-42"), -42);
     EXPECT_EQ(parseInt<int>("2147483647", "--cells"), 2147483647);
     EXPECT_EQ(parseInt<unsigned long long>("18446744073709551615",
@@ -138,6 +140,21 @@ TEST(CsvDeathTest, OverflowIsFatal)
     EXPECT_EXIT(parseDouble("1e999", "--peak"),
                 ::testing::ExitedWithCode(1),
                 "out-of-range number for --peak");
+}
+
+TEST(CsvDeathTest, NonFiniteNumberIsFatal)
+{
+    // strtod reads these spellings; a field or flag never means them.
+    EXPECT_EXIT(parseDouble("nan", "--telemetry-cost-s"),
+                ::testing::ExitedWithCode(1),
+                "malformed number for --telemetry-cost-s: 'nan'");
+    EXPECT_EXIT(parseDouble("-NaN"), ::testing::ExitedWithCode(1),
+                "malformed number for CSV field: '-NaN'");
+    EXPECT_EXIT(parseDouble("inf", "--peak"),
+                ::testing::ExitedWithCode(1),
+                "malformed number for --peak: 'inf'");
+    EXPECT_EXIT(parseDouble("-infinity"), ::testing::ExitedWithCode(1),
+                "malformed number for CSV field");
 }
 
 TEST(CsvDeathTest, BelowASignedTargetIsFatal)

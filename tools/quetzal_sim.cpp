@@ -1,10 +1,14 @@
 /**
  * @file
- * quetzal_sim — the one command-line front door onto the run API
- * (sim::RunRequest / sim::RunDispatcher). Flags are parsed exactly
- * once into a RunRequest; the dispatcher routes it to the experiment
- * engine, the parallel ensemble runner, the declarative scenario
- * engine, or the sharded fleet engine.
+ * quetzal_sim — the command-line front door. Experiment flags are
+ * aliases of scenario fields: each one is parsed, range-checked and
+ * applied by the scenario field table (scenario::fields, DESIGN.md
+ * section 10), so a flag accepts exactly what the same field accepts
+ * in a scenario file, and a rejected value exits 1 naming the flag and
+ * what the field expects. The flags then go straight to an engine: the
+ * parallel experiment runner (one run or a seed ensemble), or the
+ * scenario engine, which runs the fleet engine for a file with a
+ * "fleet" block.
  *
  * Run modes (mutually exclusive; flags that conflict are reported as
  * errors naming both flags, never silently ignored):
@@ -47,10 +51,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -59,8 +61,8 @@
 #include "obs/btrace.hpp"
 #include "obs/stream_sink.hpp"
 #include "obs/trace_io.hpp"
-#include "policy/registry.hpp"
 #include "scenario/engine.hpp"
+#include "scenario/spec.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/ensemble.hpp"
 #include "sim/experiment.hpp"
@@ -98,7 +100,9 @@ usage(const char *argv0, bool requested)
         "                         the fleet engine takes its workload "
         "from the file\n"
         "\n"
-        "Experiment configuration (conflicts with --scenario/--fleet):"
+        "Experiment configuration (conflicts with --scenario/--fleet;"
+        "\n"
+        "each flag takes exactly what its scenario-file field takes):"
         "\n"
         "  --controller KIND      QZ|QZ-FCFS|QZ-LCFS|QZ-AvgSe2e|NA|AD|"
         "CN|THR|PZO|PZI|Ideal\n"
@@ -112,7 +116,8 @@ usage(const char *argv0, bool requested)
         "  --buffer N             input-buffer capacity\n"
         "  --cells N              harvester cell count\n"
         "  --capture-period-ms N  capture period\n"
-        "  --threshold PCT        THR controller buffer threshold\n"
+        "  --threshold PCT        THR controller buffer threshold, "
+        "(0, 100]\n"
         "  --arrival-window N     arrival-rate tracking window\n"
         "  --task-window N        service-time tracking window\n"
         "  --power-trace FILE.csv piecewise-constant power trace\n"
@@ -194,33 +199,85 @@ conflict(const std::string &flag, const std::string &other,
     std::exit(2);
 }
 
-sim::ControllerKind
-parseController(const std::string &name)
+/**
+ * An experiment flag: an alias of one scenario field. The field table
+ * validates and applies the value, so the flag's range is the field's.
+ */
+struct FieldFlag
 {
-    using K = sim::ControllerKind;
-    if (name == "QZ") return K::Quetzal;
-    if (name == "QZ-FCFS") return K::QuetzalFcfs;
-    if (name == "QZ-LCFS") return K::QuetzalLcfs;
-    if (name == "QZ-AvgSe2e") return K::QuetzalAvgSe2e;
-    if (name == "NA") return K::NoAdapt;
-    if (name == "AD") return K::AlwaysDegrade;
-    if (name == "CN") return K::CatNap;
-    if (name == "THR") return K::BufferThreshold;
-    if (name == "PZO") return K::Zgo;
-    if (name == "PZI") return K::Zgi;
-    if (name == "Ideal") return K::Ideal;
-    util::fatal(util::msg("unknown controller: ", name));
+    /** How the flag's text becomes the field's JSON value. */
+    enum Kind {
+        Text,    ///< the text as a string
+        Count,   ///< an unsigned integer
+        Percent, ///< a percentage, stored as a fraction
+        Off,     ///< no value: the boolean field becomes false
+    };
+
+    const char *flag;
+    const char *field;
+    Kind kind;
+};
+
+const FieldFlag kFieldFlags[] = {
+    {"--controller", "controller", FieldFlag::Text},
+    {"--policy", "policy", FieldFlag::Text},
+    {"--env", "environment", FieldFlag::Text},
+    {"--device", "device", FieldFlag::Text},
+    {"--events", "events", FieldFlag::Count},
+    {"--seed", "seed", FieldFlag::Count},
+    {"--buffer", "buffer", FieldFlag::Count},
+    {"--cells", "cells", FieldFlag::Count},
+    {"--capture-period-ms", "capture_period_ms", FieldFlag::Count},
+    {"--arrival-window", "arrival_window", FieldFlag::Count},
+    {"--task-window", "task_window", FieldFlag::Count},
+    {"--power-trace", "power_trace_csv", FieldFlag::Text},
+    {"--threshold", "buffer_threshold", FieldFlag::Percent},
+    {"--no-pid", "use_pid", FieldFlag::Off},
+    {"--no-circuit", "use_circuit", FieldFlag::Off},
+};
+
+const FieldFlag *
+findFieldFlag(const std::string &arg)
+{
+    for (const FieldFlag &flag : kFieldFlags) {
+        if (arg == flag.flag)
+            return &flag;
+    }
+    return nullptr;
 }
 
-trace::EnvironmentPreset
-parseEnvironment(const std::string &name)
+/**
+ * Check `text` against the flag's field and apply it to `cfg`. A
+ * malformed number, or a value the field rejects, is fatal and names
+ * the flag.
+ */
+void
+applyFieldFlag(const FieldFlag &flag, const std::string &text,
+               sim::ExperimentConfig &cfg)
 {
-    using E = trace::EnvironmentPreset;
-    if (name == "more-crowded") return E::MoreCrowded;
-    if (name == "crowded") return E::Crowded;
-    if (name == "less-crowded") return E::LessCrowded;
-    if (name == "msp430") return E::Msp430Short;
-    util::fatal(util::msg("unknown environment: ", name));
+    namespace json = scenario::json;
+    json::Value value;
+    switch (flag.kind) {
+      case FieldFlag::Text:
+        value = json::makeString(text);
+        break;
+      case FieldFlag::Count:
+        value = json::makeNumber(
+            util::parseInt<std::uint64_t>(text, flag.flag));
+        break;
+      case FieldFlag::Percent:
+        value = json::makeNumber(util::parseDouble(text, flag.flag) /
+                                 100.0);
+        break;
+      case FieldFlag::Off:
+        value = json::makeBool(false);
+        break;
+    }
+    std::string why;
+    if (!scenario::fields::validateField(flag.field, value, why))
+        util::fatal(util::msg(flag.flag, " ", text, ": field \"",
+                              flag.field, "\" ", why));
+    scenario::fields::applyField(flag.field, value, cfg);
 }
 
 void
@@ -304,8 +361,10 @@ writeTraceOutput(const std::string &path, const std::string &format,
 int
 main(int argc, char **argv)
 {
-    sim::RunRequest request;
-    sim::ExperimentConfig &cfg = request.config;
+    sim::ExperimentConfig cfg;
+    scenario::EngineOptions engine;
+    std::string scenarioPath;
+    unsigned jobs = 0;
     bool csv = false;
     bool header = false;
     std::size_t ensembleRuns = 0;
@@ -324,7 +383,6 @@ main(int argc, char **argv)
     std::string ensembleFlag;   ///< --ensemble
     std::string checkpointFlag; ///< first --checkpoint*/--resume flag
     std::string fleetCkptFlag;  ///< first --fleet-checkpoint*/--fleet-* flag
-    bool validateOnly = false;
 
     std::string checkpointOut;
     std::uint64_t checkpointEvery = 1000;
@@ -348,76 +406,32 @@ main(int argc, char **argv)
             if (configFlag.empty())
                 configFlag = arg;
         };
-        if (arg == "--scenario" || arg == "--fleet") {
+        if (const FieldFlag *field = findFieldFlag(arg)) {
+            const std::string text =
+                field->kind == FieldFlag::Off ? "" : value();
+            applyFieldFlag(*field, text, cfg);
+            // --events is shared: the run-matrix event count, and the
+            // scenario smoke override, so it never conflicts with a
+            // scenario file.
+            if (arg == "--events")
+                eventsSet = true;
+            else
+                configArg();
+            if (arg == "--env")
+                environment = text;
+        } else if (arg == "--scenario" || arg == "--fleet") {
             if (!modeFlag.empty() && modeFlag != arg)
                 conflict(arg, modeFlag,
                          "give one scenario file in one mode");
             modeFlag = arg;
-            request.kind = arg == "--fleet" ? sim::RunKind::Fleet
-                                            : sim::RunKind::Scenario;
-            request.scenarioPath = value();
+            scenarioPath = value();
         } else if (arg == "--validate") {
-            validateOnly = true;
-        } else if (arg == "--controller") {
-            configArg();
-            cfg.controller = parseController(value());
-        } else if (arg == "--policy") {
-            configArg();
-            cfg.policyName = value();
-            if (!policy::isRegisteredPolicy(cfg.policyName)) {
-                std::string known;
-                for (const auto &n : policy::registeredPolicyNames())
-                    known += (known.empty() ? "" : ", ") + n;
-                util::fatal(util::msg("unknown policy: ", cfg.policyName,
-                                      " (registered: ", known, ")"));
-            }
-        } else if (arg == "--env") {
-            configArg();
-            environment = value();
-            cfg.environment = parseEnvironment(environment);
-        } else if (arg == "--device") {
-            configArg();
-            const std::string dev = value();
-            if (dev == "apollo4")
-                cfg.device = app::DeviceKind::Apollo4;
-            else if (dev == "msp430")
-                cfg.device = app::DeviceKind::Msp430;
-            else
-                util::fatal(util::msg("unknown device: ", dev));
-        } else if (arg == "--events") {
-            // Shared: run-matrix event count, and the scenario smoke
-            // override — deliberately not a configArg().
-            number(cfg.eventCount);
-            eventsSet = true;
-        } else if (arg == "--seed") {
-            configArg();
-            number(cfg.seed);
-        } else if (arg == "--buffer") {
-            configArg();
-            number(cfg.sim.bufferCapacity);
-        } else if (arg == "--cells") {
-            configArg();
-            number(cfg.harvesterCells);
-        } else if (arg == "--capture-period-ms") {
-            configArg();
-            number(cfg.sim.capturePeriod);
-        } else if (arg == "--threshold") {
-            configArg();
-            cfg.bufferThreshold = util::parseDouble(value(), arg) / 100.0;
-        } else if (arg == "--arrival-window") {
-            configArg();
-            number(cfg.system.arrivalWindow);
-        } else if (arg == "--task-window") {
-            configArg();
-            number(cfg.system.taskWindow);
-        } else if (arg == "--power-trace") {
-            configArg();
-            cfg.powerTraceCsv = value();
+            engine.validateOnly = true;
         } else if (arg == "--ensemble") {
             ensembleFlag = arg;
             number(ensembleRuns);
         } else if (arg == "--jobs") {
-            number(request.jobs);
+            number(jobs);
         } else if (arg == "--trace-out") {
             traceFlag = arg;
             traceOut = value();
@@ -435,14 +449,17 @@ main(int argc, char **argv)
                 traceFormat != "btrace")
                 util::fatal(util::msg("unknown trace format: ",
                                       traceFormat));
-        } else if (arg == "--telemetry-cost-s") {
+        } else if (arg == "--telemetry-cost-s" ||
+                   arg == "--telemetry-cost-j") {
             configArg();
-            cfg.sim.telemetrySecondsPerEvent =
-                util::parseDouble(value(), arg);
-        } else if (arg == "--telemetry-cost-j") {
-            configArg();
-            cfg.sim.telemetryEnergyPerEvent =
-                util::parseDouble(value(), arg);
+            const std::string text = value();
+            const double cost = util::parseDouble(text, arg);
+            if (cost < 0.0)
+                util::fatal(util::msg(arg, " must be non-negative: ",
+                                      text));
+            (arg == "--telemetry-cost-s"
+                 ? cfg.sim.telemetrySecondsPerEvent
+                 : cfg.sim.telemetryEnergyPerEvent) = cost;
         } else if (arg == "--checkpoint") {
             checkpointFlag = checkpointFlag.empty() ? arg : checkpointFlag;
             checkpointOut = value();
@@ -459,29 +476,23 @@ main(int argc, char **argv)
             resumePath = value();
         } else if (arg == "--fleet-checkpoint") {
             fleetCkptFlag = fleetCkptFlag.empty() ? arg : fleetCkptFlag;
-            request.fleetCheckpointPath = value();
+            engine.fleetCheckpointPath = value();
         } else if (arg == "--fleet-checkpoint-every") {
             fleetCkptFlag = fleetCkptFlag.empty() ? arg : fleetCkptFlag;
-            number(request.fleetCheckpointEverySlabs);
-            if (request.fleetCheckpointEverySlabs == 0)
+            number(engine.fleetCheckpointEverySlabs);
+            if (engine.fleetCheckpointEverySlabs == 0)
                 util::fatal("--fleet-checkpoint-every must be positive");
         } else if (arg == "--fleet-stop-after-s") {
             fleetCkptFlag = fleetCkptFlag.empty() ? arg : fleetCkptFlag;
-            number(request.fleetStopAfterSeconds);
-            if (request.fleetStopAfterSeconds <= 0)
+            number(engine.fleetStopAfterSeconds);
+            if (engine.fleetStopAfterSeconds <= 0)
                 util::fatal("--fleet-stop-after-s must be positive");
         } else if (arg == "--fleet-resume") {
             fleetCkptFlag = fleetCkptFlag.empty() ? arg : fleetCkptFlag;
-            request.fleetResumePath = value();
+            engine.fleetResumePath = value();
         } else if (arg == "--fleet-ckpt-trace") {
             fleetCkptFlag = fleetCkptFlag.empty() ? arg : fleetCkptFlag;
-            request.fleetEpisodeTracePath = value();
-        } else if (arg == "--no-pid") {
-            configArg();
-            cfg.usePid = false;
-        } else if (arg == "--no-circuit") {
-            configArg();
-            cfg.useCircuit = false;
+            engine.fleetEpisodeTracePath = value();
         } else if (arg == "--csv") {
             outputFlag = outputFlag.empty() ? arg : outputFlag;
             csv = true;
@@ -517,11 +528,11 @@ main(int argc, char **argv)
             conflict(checkpointFlag, modeFlag,
                      "single-experiment checkpointing; fleet runs "
                      "take --fleet-checkpoint/--fleet-resume");
-        if (!fleetCkptFlag.empty() && validateOnly)
+        if (!fleetCkptFlag.empty() && engine.validateOnly)
             conflict(fleetCkptFlag, "--validate",
                      "--validate never runs, so there is nothing to "
                      "checkpoint or resume");
-    } else if (validateOnly) {
+    } else if (engine.validateOnly) {
         util::fatal(
             "--validate requires --scenario or --fleet FILE.json");
     } else if (!fleetCkptFlag.empty()) {
@@ -532,18 +543,18 @@ main(int argc, char **argv)
     }
 
     if (!fleetCkptFlag.empty()) {
-        if (request.fleetCheckpointEverySlabs > 0 &&
-            request.fleetCheckpointPath.empty())
+        if (engine.fleetCheckpointEverySlabs > 0 &&
+            engine.fleetCheckpointPath.empty())
             util::fatal("--fleet-checkpoint-every requires "
                         "--fleet-checkpoint FILE");
-        if (request.fleetStopAfterSeconds > 0 &&
-            request.fleetCheckpointPath.empty() &&
-            request.fleetResumePath.empty())
+        if (engine.fleetStopAfterSeconds > 0 &&
+            engine.fleetCheckpointPath.empty() &&
+            engine.fleetResumePath.empty())
             util::fatal("--fleet-stop-after-s requires "
                         "--fleet-checkpoint or --fleet-resume");
-        if (request.fleetEpisodeTracePath != "" &&
-            request.fleetCheckpointPath.empty() &&
-            request.fleetResumePath.empty())
+        if (!engine.fleetEpisodeTracePath.empty() &&
+            engine.fleetCheckpointPath.empty() &&
+            engine.fleetResumePath.empty())
             util::fatal("--fleet-ckpt-trace requires "
                         "--fleet-checkpoint or --fleet-resume");
     }
@@ -560,18 +571,17 @@ main(int argc, char **argv)
                 "--checkpoint-every requires --checkpoint FILE");
     }
 
-    // The single dispatch point: every mode goes through the run API.
-    sim::RunDispatcher dispatcher;
-    scenario::installRunHandlers(dispatcher);
-
     if (!modeFlag.empty()) {
-        request.validateOnly = validateOnly;
-        request.eventCountOverride = eventsSet ? cfg.eventCount : 0;
-        return dispatcher.run(request).exitCode;
+        engine.jobs = jobs;
+        engine.eventCountOverride = eventsSet ? cfg.eventCount : 0;
+        return modeFlag == "--fleet"
+            ? scenario::runFleetFile(scenarioPath, engine)
+            : scenario::runScenarioFile(scenarioPath, engine);
     }
 
     const bool tracing = !traceOut.empty() &&
         traceLevel != obs::ObsLevel::Off;
+    sim::ParallelRunner runner(jobs);
 
     if (ensembleRuns > 0) {
         // Seeds 1..N as one batch. Per-seed CSV rows print in seed
@@ -580,8 +590,8 @@ main(int argc, char **argv)
         // into its own sink (no locks on the hot path) and the sinks
         // are serialized in seed order after the joins.
         std::vector<obs::VectorSink> sinks(tracing ? ensembleRuns : 0);
-        request.kind = sim::RunKind::Batch;
-        request.batch.reserve(ensembleRuns);
+        std::vector<sim::ExperimentConfig> batch;
+        batch.reserve(ensembleRuns);
         for (std::size_t i = 0; i < ensembleRuns; ++i) {
             sim::ExperimentConfig seedCfg = cfg;
             seedCfg.seed = i + 1;
@@ -589,19 +599,18 @@ main(int argc, char **argv)
                 seedCfg.obsLevel = traceLevel;
                 seedCfg.obsSink = &sinks[i];
             }
-            request.batch.push_back(std::move(seedCfg));
+            batch.push_back(std::move(seedCfg));
         }
 
-        const sim::RunOutcome outcome = dispatcher.run(request);
+        const std::vector<sim::Metrics> metrics = runner.runBatch(batch);
 
         if (csv) {
             if (header)
                 csvHeader();
-            for (std::size_t i = 0; i < outcome.metrics.size(); ++i)
-                csvRow(request.batch[i], environment,
-                       outcome.metrics[i]);
+            for (std::size_t i = 0; i < metrics.size(); ++i)
+                csvRow(batch[i], environment, metrics[i]);
         } else {
-            sim::aggregateEnsemble(outcome.metrics)
+            sim::aggregateEnsemble(metrics)
                 .printSummary(std::cout, sim::experimentLabel(cfg));
         }
         if (tracing)
@@ -655,9 +664,7 @@ main(int argc, char **argv)
         }
     }
 
-    request.kind = sim::RunKind::Experiment;
-    const sim::RunOutcome outcome = dispatcher.run(request);
-    const sim::Metrics &m = outcome.metrics.front();
+    const sim::Metrics m = runner.runBatch({cfg}).front();
 
     if (csv) {
         if (header)

@@ -76,16 +76,11 @@ main(int argc, char **argv)
             events = util::parseInt<std::size_t>(value(), arg);
         else if (arg == "--env") {
             const std::string env = value();
-            if (env == "more-crowded")
-                preset = trace::EnvironmentPreset::MoreCrowded;
-            else if (env == "crowded")
-                preset = trace::EnvironmentPreset::Crowded;
-            else if (env == "less-crowded")
-                preset = trace::EnvironmentPreset::LessCrowded;
-            else if (env == "msp430")
-                preset = trace::EnvironmentPreset::Msp430Short;
-            else
-                util::fatal(util::msg("unknown environment: ", env));
+            const auto named = trace::environmentFromName(env);
+            if (!named)
+                util::fatal(util::msg("unknown environment for --env: ",
+                                      env));
+            preset = *named;
         } else {
             usage(argv[0]);
         }
