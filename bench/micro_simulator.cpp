@@ -25,7 +25,7 @@
  * --ideal switches the ensemble to the infinite-buffer Ideal
  * baseline on the more-crowded environment — the large-buffer regime
  * where occupancy grows into the thousands and the buffer index and
- * E[S] memoization dominate; the reported figures track that
+ * the E[S] term table dominate; the reported figures track that
  * scenario's cost per run.
  *
  * --idle-day replaces the sensing trace with an empty one over a

@@ -2,10 +2,11 @@
 # Every numeric CLI flag goes through the checked parser: a malformed,
 # out-of-range or (for an unsigned target) negative value must exit
 # non-zero with the offending flag named on stderr, never run with a
-# silently truncated or wrapped number. quetzal-sim's experiment flags
-# also take only what their scenario field takes (a value the field
-# rejects fails the same way), and its telemetry costs must be finite
-# and non-negative. An abort (exit 134) is never a clean rejection.
+# silently truncated or wrapped number, nor take a form no JSON number
+# has (leading whitespace or '+', hexadecimal). quetzal-sim's
+# experiment flags also take only what their scenario field takes (a
+# value the field rejects fails the same way), and its telemetry costs
+# must be finite and non-negative. An abort (exit 134) is never a clean rejection.
 #
 # Usage: scripts/check_cli_numbers.sh [tool]
 #   tool   path to quetzal-sim, quetzal-trace-gen or trace_stat; the
@@ -53,6 +54,9 @@ case "$(basename "$TOOL")" in
     quetzal-sim)
         check --events --events abc
         check --seed --events 1 --seed 12x
+        check --seed --events 1 --seed +7
+        check --seed --events 1 --seed " 7"
+        check --threshold --events 1 --controller THR --threshold 0x32
         check --jobs --events 1 --jobs -1
         check --events --events 99999999999999999999
         check --buffer --events 1 --buffer 0

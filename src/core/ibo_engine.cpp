@@ -15,19 +15,20 @@ IboReactionEngine::backlogServiceSeconds(
 {
     // Each buffered input contributes its job's per-task terms; the
     // term of a task is fixed for the whole walk (the option map does
-    // not change mid-call), so derive every term once up front and
-    // leave only additions in the per-record loop. The accumulation
-    // order over records and tasks is unchanged, so the sum is
-    // bit-identical to deriving each term in place.
+    // not change mid-call), so gather every task's term from the
+    // system's table once up front and leave only additions in the
+    // per-record loop. The accumulation order over records and tasks
+    // is unchanged, so the sum is bit-identical to deriving each term
+    // in place.
+    const double *terms = system.serviceTerms(estimator, power);
     taskTermScratch.resize(system.taskCount());
     for (TaskId taskId = 0; taskId < system.taskCount(); ++taskId) {
-        const Task &task = system.task(taskId);
         std::size_t option = taskId < currentOption.size() ?
             currentOption[taskId] : 0;
         if (taskId == overrideTask)
             option = overrideOption;
-        taskTermScratch[taskId] = system.executionProbability(taskId) *
-            estimator.estimate(task.option(option), power);
+        taskTermScratch[taskId] =
+            terms[system.serviceTermIndex(taskId, option)];
     }
 
     double total = 0.0;
@@ -154,7 +155,7 @@ IboReactionEngine::saveState(std::string &out) const
     wire::putVarint(out, currentOption.size());
     for (const std::size_t option : currentOption)
         wire::putVarint(out, option);
-    // taskTermScratch is rebuilt per call; not state.
+    // taskTermScratch is gathered per call; not state.
 }
 
 bool

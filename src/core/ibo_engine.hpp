@@ -130,11 +130,11 @@ class IboReactionEngine : public AdaptationPolicy
     void saveState(std::string &out) const override;
     bool loadState(util::wire::Reader &in) override;
 
-  private:
     /**
      * Expected seconds to serve every buffered input at the tasks'
      * current quality settings, with one task's option overridden
-     * (the candidate under evaluation).
+     * (the candidate under evaluation): the FIFO-order sum of each
+     * record's TaskSystem::serviceTerms().
      */
     double backlogServiceSeconds(const TaskSystem &system,
                                  const queueing::InputBuffer &buffer,
@@ -143,14 +143,14 @@ class IboReactionEngine : public AdaptationPolicy
                                  TaskId overrideTask,
                                  std::size_t overrideOption) const;
 
+  private:
     /** Last option the engine chose per task (lazily sized). */
     std::vector<std::size_t> currentOption;
 
     /**
-     * Per-task E[S] term (execution probability x estimate) scratch,
-     * rebuilt by backlogServiceSeconds so the per-record loop costs
-     * two additions per buffered input instead of re-deriving the
-     * estimate occupancy times.
+     * Per-task E[S] terms at the options of one backlogServiceSeconds
+     * call, gathered from the system's term table so the per-record
+     * loop indexes one flat array.
      */
     mutable std::vector<double> taskTermScratch;
 };

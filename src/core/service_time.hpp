@@ -43,7 +43,7 @@ struct PowerReading
  * Strategy interface for predicting a task option's S_e2e.
  *
  * Estimates are pure in (option, power, internal history), which is
- * what lets TaskSystem memoize whole-job E[S] sums: an estimator
+ * what lets TaskSystem cache its per-task E[S] terms: an estimator
  * advertises a version() that changes whenever recorded history
  * would change an estimate, and a powerKey() identifying which part
  * of a PowerReading its estimates actually depend on.

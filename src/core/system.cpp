@@ -40,7 +40,10 @@ TaskSystem::addTask(const std::string &name,
     const auto id = static_cast<TaskId>(taskList.size());
     taskList.emplace_back(id, name, std::move(profiled));
     probTrackers.emplace_back(cfg.taskWindow);
+    termOffset.push_back(termTable.size());
+    termTable.resize(termTable.size() + options.size());
     ++stateRevision;
+    ++probabilityEpoch;
     return id;
 }
 
@@ -110,9 +113,18 @@ TaskSystem::recordJobCompletion(const Job &job,
     // *given its job was scheduled* — exactly the weight Alg. 1 needs
     // (conditional tasks inside a job dilute its E[S]; tasks of other
     // jobs are not diluted by this job's completions).
-    for (std::size_t i = 0; i < job.tasks.size(); ++i)
-        probTrackers[job.tasks[i]].recordExecution(executedPerTask[i]);
+    bool probabilityMoved = false;
+    for (std::size_t i = 0; i < job.tasks.size(); ++i) {
+        queueing::ExecutionProbabilityTracker &tracker =
+            probTrackers[job.tasks[i]];
+        const double before = tracker.probability();
+        tracker.recordExecution(executedPerTask[i]);
+        probabilityMoved =
+            probabilityMoved || tracker.probability() != before;
+    }
     ++stateRevision;
+    if (probabilityMoved)
+        ++probabilityEpoch;
 }
 
 PowerReading
@@ -136,6 +148,28 @@ TaskSystem::measureInputPower(Watts truePower)
     return reading;
 }
 
+const double *
+TaskSystem::serviceTerms(const ServiceTimeEstimator &estimator,
+                         const PowerReading &power) const
+{
+    // Estimators declare what their estimates depend on (version(),
+    // powerKey()); between two captures on one trace segment every
+    // decision repeats the same key, so the terms are derived once
+    // and then only read.
+    const TermKey key{estimator.instanceId(), estimator.version(),
+                      estimator.powerKey(power), probabilityEpoch};
+    if (termKey != key) {
+        termKey = key;
+        for (const Task &t : taskList) {
+            for (std::size_t opt = 0; opt < t.optionCount(); ++opt)
+                termTable[termOffset[t.id()] + opt] =
+                    executionProbability(t.id()) *
+                    estimator.estimate(t.option(opt), power);
+        }
+    }
+    return termTable.data();
+}
+
 double
 TaskSystem::expectedJobService(const Job &job,
                                const ServiceTimeEstimator &estimator,
@@ -145,45 +179,11 @@ TaskSystem::expectedJobService(const Job &job,
     if (!optionPerTask.empty() && optionPerTask.size() != job.tasks.size())
         util::panic("option choices do not match job task count");
 
-    // An explicit all-zero option vector asks for the same
-    // full-quality configuration as the empty default, so both shapes
-    // share one memo slot (the walk below is identical either way).
-    bool fullQuality = true;
-    for (const std::size_t opt : optionPerTask) {
-        if (opt != 0) {
-            fullQuality = false;
-            break;
-        }
-    }
-
-    ServiceMemo *memo = nullptr;
-    if (fullQuality) {
-        if (serviceMemo.size() < jobList.size())
-            serviceMemo.resize(jobList.size());
-        memo = &serviceMemo[job.id];
-        const std::uint64_t key = estimator.powerKey(power);
-        if (memo->valid && memo->estimatorId == estimator.instanceId() &&
-            memo->estimatorVersion == estimator.version() &&
-            memo->powerKey == key && memo->systemRevision == stateRevision)
-            return memo->value;
-        memo->estimatorId = estimator.instanceId();
-        memo->estimatorVersion = estimator.version();
-        memo->powerKey = key;
-        memo->systemRevision = stateRevision;
-    }
-
+    const double *terms = serviceTerms(estimator, power);
     double expected = 0.0;
-    for (std::size_t i = 0; i < job.tasks.size(); ++i) {
-        const Task &t = task(job.tasks[i]);
-        const std::size_t optIdx =
-            optionPerTask.empty() ? 0 : optionPerTask[i];
-        expected += executionProbability(t.id()) *
-            estimator.estimate(t.option(optIdx), power);
-    }
-    if (memo != nullptr) {
-        memo->value = expected;
-        memo->valid = true;
-    }
+    for (std::size_t i = 0; i < job.tasks.size(); ++i)
+        expected += terms[serviceTermIndex(
+            job.tasks[i], optionPerTask.empty() ? 0 : optionPerTask[i])];
     return expected;
 }
 
@@ -250,7 +250,7 @@ TaskSystem::loadCheckpoint(util::wire::Reader &in)
     std::uint64_t filled = 0;
     std::uint64_t sum = 0;
     if (!in.getVarint(cursor) || !in.getVarint(filled) ||
-        !in.getVarint(sum))
+        !in.getVarint(sum) || cursor >= periods || filled > periods)
         return false;
     arrivals.cursor = static_cast<std::uint32_t>(cursor);
     arrivals.filledPeriods = static_cast<std::uint32_t>(filled);
@@ -293,9 +293,9 @@ TaskSystem::loadCheckpoint(util::wire::Reader &in)
     for (std::size_t i = 0; i < probTrackers.size(); ++i)
         probTrackers[i].importState(windows[i]);
     stateRevision = revision;
-    // Drop the memo caches: a miss recomputes the exact double a hit
-    // would have replayed, so this cannot change any output byte.
-    serviceMemo.clear();
+    // Drop the caches: a miss recomputes the exact double a hit would
+    // have replayed, so this cannot change any output byte.
+    ++probabilityEpoch;
     measureMemoValid = false;
     return true;
 }

@@ -13,6 +13,7 @@
 #ifndef QUETZAL_CORE_SYSTEM_HPP
 #define QUETZAL_CORE_SYSTEM_HPP
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -137,9 +138,32 @@ class TaskSystem
     /// @}
 
     /**
+     * Alg. 1's per-task terms, P(task) x estimator.estimate(option,
+     * power), one per task option: read terms[serviceTermIndex(task,
+     * option)]. The table is derived again only when one of its
+     * inputs changed since the last call: the estimator instance, its
+     * version(), its powerKey(power), or some execution probability.
+     * Each entry is the very double a fresh product gives, so every
+     * sum over the table is bit-identical to recomputing it. The
+     * pointer is valid until the next call.
+     */
+    const double *serviceTerms(const ServiceTimeEstimator &estimator,
+                               const PowerReading &power) const;
+
+    /** Where serviceTerms() keeps a task option's term. */
+    std::size_t
+    serviceTermIndex(TaskId id, std::size_t option) const
+    {
+        if (option >= task(id).optionCount())
+            badId("option", option);
+        return termOffset[id] + option;
+    }
+
+    /**
      * Expected service seconds of a whole job: per-task S_e2e
      * weighted by execution probability (Alg. 1 line 7), using the
-     * given estimator and per-task option choices.
+     * given estimator and per-task option choices: the job's
+     * serviceTerms() summed in task order.
      * @param optionPerTask option index per position in job.tasks;
      *        pass {} for all-highest-quality
      */
@@ -149,21 +173,15 @@ class TaskSystem
                               const OptionVec &optionPerTask = {}) const;
 
     /**
-     * Monotonic counter covering every mutation that can change an
-     * E[S] prediction (task registration, execution-probability
-     * updates). The memo cache below keys on it.
-     */
-    std::uint64_t revision() const { return stateRevision; }
-
-    /**
      * @name Checkpoint
      * Serialize / restore the live trackers, circuit physical state
      * and revision counter. The registry (tasks, jobs) and config are
      * configuration: the restoring system must be built identically,
      * and loadCheckpoint() returns false when the tracker count
      * disagrees with the registered tasks (or on malformed bytes).
-     * Memo caches are dropped on restore — a miss recomputes the
-     * exact double a hit would have replayed, so this is byte-inert.
+     * The term table and the measurement memo are caches, dropped on
+     * restore — a miss recomputes the exact double a hit would have
+     * replayed, so this is byte-inert.
      */
     /// @{
     void saveCheckpoint(std::string &out) const;
@@ -174,23 +192,14 @@ class TaskSystem
     /** Cold panic path kept out of line so the lookups inline. */
     [[noreturn]] static void badId(const char *what, std::uint64_t id);
 
-    /**
-     * One full-quality E[S] memo per job. Schedulers and the IBO
-     * engine re-evaluate every job's E[S] on each decision, but the
-     * inputs (estimator history, power reading, probability windows)
-     * change far less often than decisions are made — between two
-     * captures on the same trace segment every lookup repeats. The
-     * cached value is the very double the full walk produced, so a
-     * hit is bit-identical to recomputing.
-     */
-    struct ServiceMemo
+    /** Everything a term depends on besides its task and option. */
+    struct TermKey
     {
         std::uint64_t estimatorId = 0;
         std::uint64_t estimatorVersion = 0;
         std::uint64_t powerKey = 0;
-        std::uint64_t systemRevision = 0;
-        double value = 0.0;
-        bool valid = false;
+        std::uint64_t probabilityEpoch = 0;
+        bool operator==(const TermKey &) const = default;
     };
 
     SystemConfig cfg;
@@ -199,8 +208,26 @@ class TaskSystem
     std::vector<Job> jobList;
     queueing::ArrivalRateTracker arrivalTracker;
     std::vector<queueing::ExecutionProbabilityTracker> probTrackers;
+    /**
+     * Counts completions and registrations; serialized so checkpoint
+     * archives keep their layout, but no cache keys on it.
+     */
     std::uint64_t stateRevision = 0;
-    mutable std::vector<ServiceMemo> serviceMemo;
+
+    /**
+     * Advances whenever some execution probability *value* may have
+     * changed (task registration, a completion that moved a window's
+     * fraction, a restore). Completions that leave every probability
+     * where it was — every task executed and its window already all
+     * ones — keep the term table.
+     */
+    std::uint64_t probabilityEpoch = 0;
+
+    /** First serviceTerms() entry of each task. */
+    std::vector<std::size_t> termOffset;
+    /** The terms, and the key they were derived under. */
+    mutable std::vector<double> termTable;
+    mutable std::optional<TermKey> termKey;
 
     /**
      * Memo of the last input-power measurement. The harvested power

@@ -20,8 +20,15 @@ ArrivalRateTracker::ArrivalRateTracker(std::uint32_t windowPeriods,
 void
 ArrivalRateTracker::beginPeriod()
 {
-    if (filledPeriods == counts.size()) {
-        cursor = (cursor + 1) % counts.size();
+    const auto size = static_cast<std::uint32_t>(counts.size());
+    if (filledPeriods == size) {
+        cursor = cursor + 1 == size ? 0 : cursor + 1;
+        // The burst window slides by one: the period burstSpan() back
+        // leaves it. With a window of at most kBurstPeriods that is
+        // the slot being recycled, so read it before clearing.
+        const std::uint32_t span = burstSpan();
+        burstSum -= counts[cursor >= span ? cursor - span
+                                          : cursor + size - span];
         runningSum -= counts[cursor];
         counts[cursor] = 0;
     } else {
@@ -29,6 +36,9 @@ ArrivalRateTracker::beginPeriod()
         // slot (slots are zero-initialized).
         cursor = filledPeriods;
         ++filledPeriods;
+        if (filledPeriods > kBurstPeriods)
+            burstSum -= counts[cursor - kBurstPeriods];
+        burstSum += counts[cursor];
     }
 }
 
@@ -40,6 +50,7 @@ ArrivalRateTracker::recordInsertion()
     if (counts[cursor] < 255) {
         ++counts[cursor];
         ++runningSum;
+        ++burstSum;
     }
 }
 
@@ -65,15 +76,8 @@ ArrivalRateTracker::burstInsertionsPerPeriod() const
 {
     if (filledPeriods == 0)
         return 1.0; // conservative before any observation
-    const std::uint32_t span = std::min(filledPeriods, kBurstPeriods);
-    std::uint32_t sum = 0;
-    for (std::uint32_t back = 0; back < span; ++back) {
-        const std::uint32_t index =
-            (cursor + static_cast<std::uint32_t>(counts.size()) - back) %
-            static_cast<std::uint32_t>(counts.size());
-        sum += counts[index];
-    }
-    return static_cast<double>(sum) / static_cast<double>(span);
+    return static_cast<double>(burstSum) /
+        static_cast<double>(burstSpan());
 }
 
 double
@@ -91,6 +95,20 @@ ArrivalRateTracker::clear()
     cursor = 0;
     filledPeriods = 0;
     runningSum = 0;
+    burstSum = 0;
+}
+
+void
+ArrivalRateTracker::importState(const State &snapshot)
+{
+    counts = snapshot.counts;
+    cursor = snapshot.cursor;
+    filledPeriods = snapshot.filledPeriods;
+    runningSum = snapshot.runningSum;
+    const auto size = static_cast<std::uint32_t>(counts.size());
+    burstSum = 0;
+    for (std::uint32_t back = 0; back < burstSpan(); ++back)
+        burstSum += counts[(cursor + size - back) % size];
 }
 
 ExecutionProbabilityTracker::ExecutionProbabilityTracker(

@@ -69,7 +69,11 @@ class ArrivalRateTracker
     /** Mean insertions per capture period (can exceed 1 with spawns). */
     double insertionsPerPeriod() const;
 
-    /** Mean insertions per period over the last kBurstPeriods. */
+    /**
+     * Mean insertions per period over the last kBurstPeriods (fewer
+     * while the window is warming or shorter). O(1): the sum over
+     * those periods is kept up to date as periods open and fill.
+     */
     double burstInsertionsPerPeriod() const;
 
     /** Periods recorded so far (saturating at the window size). */
@@ -97,20 +101,27 @@ class ArrivalRateTracker
         return State{counts, cursor, filledPeriods, runningSum};
     }
 
-    /** Restore a snapshot taken against the same window size. */
-    void importState(const State &snapshot)
-    {
-        counts = snapshot.counts;
-        cursor = snapshot.cursor;
-        filledPeriods = snapshot.filledPeriods;
-        runningSum = snapshot.runningSum;
-    }
+    /**
+     * Restore a snapshot taken against the same window size. The
+     * burst sum is derived from the counts, so it is rebuilt here
+     * rather than carried in State.
+     */
+    void importState(const State &snapshot);
 
   private:
+    /** Periods the burst estimate averages over right now. */
+    std::uint32_t burstSpan() const
+    {
+        return filledPeriods < kBurstPeriods ? filledPeriods
+                                             : kBurstPeriods;
+    }
+
     std::vector<std::uint8_t> counts;
     std::uint32_t cursor = 0;
     std::uint32_t filledPeriods = 0;
     std::uint32_t runningSum = 0;
+    /** Sum of the last burstSpan() period counts, ending at cursor. */
+    std::uint32_t burstSum = 0;
     double captureHz;
 };
 

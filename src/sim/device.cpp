@@ -300,6 +300,7 @@ Device::skipCycles(Tick now, Tick limit)
         anchor.rejected == storage.rejectedHarvest()) {
         cycle.key = key;
         cycle.length = now - anchor.now;
+        cycle.tail = now - lastRunStart;
         cycle.activeTicks =
             deviceStats.activeTicks - anchor.stats.activeTicks;
         cycle.rechargeTicks =
@@ -333,7 +334,14 @@ Device::skipCycles(Tick now, Tick limit)
             // The next anchor is this one, moved: no cycle closes
             // there.
             anchor.taskTicks = 0;
-            return now + n * cycle.length;
+            // Leave the cursor where the plain loop's last query
+            // would: at the start of the last cycle's last step that
+            // runs time. The skip stays on one power value, so this
+            // only walks over equal-valued segment starts, and is a
+            // range check when there are none.
+            const Tick reached = now + n * cycle.length;
+            (void)powerCursor.valueAt(reached - cycle.tail);
+            return reached;
         }
         // No whole cycle fits, so the next anchor with this key lies
         // past the limit, the segment end or the task's completion:
@@ -372,6 +380,8 @@ Device::advance(Tick now, Tick limit)
         commitStep(plan);
         ++stepCount;
         const Tick consumed = plan.run;
+        if (consumed > 0)
+            lastRunStart = now;
         now += consumed;
 
         // Stop exactly at task completion so the caller can observe

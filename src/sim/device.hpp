@@ -225,6 +225,9 @@ class Device
     bool periodicSaveInProgress = false;
     DeviceStats deviceStats;
     std::uint64_t stepCount = 0; ///< see steps()
+    /** Start tick of advance()'s last step that ran time (the tick
+     *  a closing cycle's tail is measured from). */
+    Tick lastRunStart = 0;
 
     /**
      * What a just-in-time brown-out cycle (Recharging -> Restoring
@@ -256,6 +259,9 @@ class Device
     {
         CycleKey key;
         Tick length = 0; ///< ticks per cycle; 0 while empty
+        /** Ticks from the start of the cycle's last step that runs
+         *  time to the cycle's end. */
+        Tick tail = 0;
         Tick activeTicks = 0;
         Tick rechargeTicks = 0;
         std::uint64_t powerFailures = 0;

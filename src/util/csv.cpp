@@ -1,9 +1,9 @@
 #include "util/csv.hpp"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -88,9 +88,30 @@ CsvWriter::row(const std::vector<double> &fields)
     out << "\n";
 }
 
+namespace {
+
+/**
+ * True when `field` opens the way no JSON number does: with
+ * whitespace or a '+', which strtod/strtoll skip or accept.
+ */
+bool
+badNumberStart(const std::string &field)
+{
+    return !field.empty() &&
+        (field.front() == '+' || std::isspace(
+             static_cast<unsigned char>(field.front())));
+}
+
+} // namespace
+
 double
 parseDouble(const std::string &field, const std::string &what)
 {
+    // strtod also reads hexadecimal ("0x32", "0x1p3"), which no
+    // field or flag means.
+    if (badNumberStart(field) ||
+        field.find_first_of("xX") != std::string::npos)
+        fatal(msg("malformed number for ", what, ": '", field, "'"));
     char *end = nullptr;
     errno = 0;
     const double value = std::strtod(field.c_str(), &end);
@@ -110,6 +131,8 @@ Int
 parseInt(const std::string &field, const std::string &what)
 {
     using Limits = std::numeric_limits<Int>;
+    if (badNumberStart(field))
+        fatal(msg("malformed integer for ", what, ": '", field, "'"));
     const char *text = field.c_str();
     char *end = nullptr;
     errno = 0;
@@ -122,8 +145,7 @@ parseInt(const std::string &field, const std::string &what)
         value = static_cast<Int>(parsed);
     } else {
         // strtoull negates "-1" into a huge value instead of failing.
-        const char *first = text + std::strspn(text, " \t\n\v\f\r");
-        if (*first == '-')
+        if (*text == '-')
             fatal(msg("negative value for ", what, ": '", field,
                       "' (expected a non-negative integer)"));
         const unsigned long long parsed = std::strtoull(text, &end, 10);

@@ -53,7 +53,9 @@ class CsvWriter
 /**
  * Parse `field` as a finite double. Calls fatal(), naming `what` (a
  * CLI flag, or "CSV field"), when the text is empty, carries trailing
- * junk, overflows a double, or spells a NaN or an infinity.
+ * junk, overflows a double, spells a NaN or an infinity, or takes a
+ * form no JSON number has: leading whitespace, a leading '+', or
+ * hexadecimal.
  */
 double parseDouble(const std::string &field,
                    const std::string &what = "CSV field");
@@ -61,9 +63,10 @@ double parseDouble(const std::string &field,
 /**
  * Parse `field` as a base-10 integer of type Int. Calls fatal(),
  * naming `what` (a CLI flag, or "CSV field"), when the text is empty,
- * carries trailing junk, falls outside Int's range, or is negative
- * and Int is unsigned. Instantiated for the standard signed and
- * unsigned int, long and long long types.
+ * carries trailing junk, starts with whitespace or a '+', falls
+ * outside Int's range, or is negative and Int is unsigned.
+ * Instantiated for the standard signed and unsigned int, long and
+ * long long types.
  */
 template <typename Int = long long>
 Int parseInt(const std::string &field,

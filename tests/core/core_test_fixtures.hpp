@@ -8,7 +8,9 @@
 #ifndef QUETZAL_TESTS_CORE_TEST_FIXTURES_HPP
 #define QUETZAL_TESTS_CORE_TEST_FIXTURES_HPP
 
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "core/system.hpp"
 #include "queueing/input_buffer.hpp"
@@ -51,6 +53,98 @@ makeSmallSystem(const SystemConfig &config = {})
                                      s.transmitJob);
     return s;
 }
+
+/**
+ * Alg. 1's E[S] recomputed from scratch: P(task) x estimate in task
+ * order, the walk the term table must reproduce bit for bit.
+ */
+inline double
+referenceService(const TaskSystem &system, const Job &job,
+                 const ServiceTimeEstimator &estimator,
+                 const PowerReading &power, const OptionVec &options)
+{
+    double expected = 0.0;
+    for (std::size_t i = 0; i < job.tasks.size(); ++i) {
+        const Task &task = system.task(job.tasks[i]);
+        expected += system.executionProbability(task.id()) *
+            estimator.estimate(task.option(options.empty() ? 0 : options[i]),
+                               power);
+    }
+    return expected;
+}
+
+/** Jobs over shared tasks with one, two and three options. */
+inline TaskSystem
+makeMixedSystem()
+{
+    SystemConfig config;
+    config.taskWindow = 8; // short windows: probabilities move often
+    TaskSystem system(config);
+    const TaskId sense = system.addTask("sense", {{"s", 40, 2e-3}});
+    const TaskId classify = system.addTask(
+        "classify", {{"c-high", 900, 25e-3},
+                     {"c-mid", 300, 18e-3},
+                     {"c-low", 60, 9e-3}});
+    const TaskId compress = system.addTask(
+        "compress", {{"z-high", 200, 12e-3}, {"z-low", 30, 12e-3}});
+    const TaskId radio = system.addTask("radio", {{"r", 500, 90e-3}});
+    system.addJob("detect", {sense, classify, radio});
+    system.addJob("archive", {sense, compress});
+    system.addJob("send", {radio});
+    system.addJob("reclassify", {classify, sense});
+    return system;
+}
+
+/**
+ * Estimator decorator that counts estimate() calls and forwards
+ * everything else, version() and powerKey() included, so the
+ * decorated estimator caches exactly like the inner one.
+ */
+class CountingEstimator final : public ServiceTimeEstimator
+{
+  public:
+    explicit CountingEstimator(std::unique_ptr<ServiceTimeEstimator> inner_)
+        : inner(std::move(inner_))
+    {
+    }
+
+    double
+    estimate(const DegradationOption &option,
+             const PowerReading &power) const override
+    {
+        ++estimateCalls;
+        return inner->estimate(option, power);
+    }
+
+    void
+    recordObservation(const DegradationOption &option,
+                      double observedSeconds) override
+    {
+        inner->recordObservation(option, observedSeconds);
+    }
+
+    std::string name() const override { return inner->name(); }
+    std::uint64_t version() const override { return inner->version(); }
+
+    std::uint64_t
+    powerKey(const PowerReading &power) const override
+    {
+        return inner->powerKey(power);
+    }
+
+    void saveState(std::string &out) const override { inner->saveState(out); }
+    bool loadState(util::wire::Reader &in) override
+    {
+        return inner->loadState(in);
+    }
+
+    /** estimate() calls so far. */
+    std::uint64_t calls() const { return estimateCalls; }
+
+  private:
+    std::unique_ptr<ServiceTimeEstimator> inner;
+    mutable std::uint64_t estimateCalls = 0;
+};
 
 /** Push a classify-stage input with the given id/capture time. */
 inline void

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <random>
+
 #include "core/ibo_engine.hpp"
 #include "core_test_fixtures.hpp"
 
@@ -13,6 +16,7 @@ namespace quetzal {
 namespace core {
 namespace {
 
+using testing_fixtures::makeMixedSystem;
 using testing_fixtures::makeSmallSystem;
 using testing_fixtures::pushInput;
 
@@ -192,6 +196,95 @@ TEST(IboEngine, NonDegradableJobDetectsOnly)
     EXPECT_TRUE(decision.iboPredicted);
     EXPECT_FALSE(decision.degraded);
     EXPECT_FALSE(decision.overflowAvoided);
+}
+
+TEST(IboEngine, BacklogServiceMatchesRecomputation)
+{
+    TaskSystem system = makeMixedSystem();
+    EnergyAwareEstimator circuit(true);
+    EnergyAwareEstimator exact(false);
+    AverageServiceTimeEstimator average;
+    const ServiceTimeEstimator *estimators[] = {&circuit, &exact,
+                                                &average};
+    const PowerReading readings[] = {
+        {2e-3, 40}, {2e-3, 41}, {9e-3, 41}, {50e-3, 200}};
+    queueing::InputBuffer buffer(48);
+    IboReactionEngine engine;
+    // The engine's per-task quality memory, mirrored from its
+    // decisions.
+    std::vector<std::size_t> current(system.taskCount(), 0);
+
+    std::mt19937_64 rng(0xba1a5ceull);
+    std::string saved;
+    system.saveCheckpoint(saved);
+    std::uint64_t nextId = 0;
+    for (int step = 0; step < 4000; ++step) {
+        const ServiceTimeEstimator &estimator = *estimators[rng() % 3];
+        const PowerReading power = readings[rng() % 4];
+        const auto roll = rng() % 100;
+        if (roll < 35) {
+            system.recordCapture(true);
+            queueing::InputRecord record;
+            record.id = nextId++;
+            record.captureTick = record.enqueueTick =
+                static_cast<Tick>(step);
+            record.jobId = static_cast<JobId>(rng() % system.jobCount());
+            buffer.tryPush(record);
+        } else if (roll < 55) {
+            if (const auto slot = buffer.oldestSchedulable()) {
+                buffer.markInFlight(*slot);
+                buffer.releaseSlot(*slot);
+            }
+        } else if (roll < 65) {
+            const Job &job = system.job(rng() % system.jobCount());
+            std::vector<bool> executed;
+            for (std::size_t i = 0; i < job.tasks.size(); ++i)
+                executed.push_back(rng() % 4 != 0);
+            system.recordJobCompletion(job, executed);
+        } else if (roll < 70) {
+            const Task &task = system.task(rng() % system.taskCount());
+            average.recordObservation(
+                task.option(rng() % task.optionCount()),
+                0.01 * static_cast<double>(1 + rng() % 500));
+        } else if (roll < 72) {
+            saved.clear();
+            system.saveCheckpoint(saved);
+        } else if (roll < 74) {
+            util::wire::Reader in(saved);
+            ASSERT_TRUE(system.loadCheckpoint(in));
+        } else {
+            const Job &job = system.job(rng() % system.jobCount());
+            const AdaptationDecision decision = engine.adapt(
+                system, job, buffer, estimator, power,
+                0.01 * static_cast<double>(rng() % 5));
+            if (job.degradableIndex) {
+                const std::size_t at = *job.degradableIndex;
+                current[job.tasks[at]] = decision.optionPerTask[at];
+            }
+        }
+
+        const auto overrideTask =
+            static_cast<TaskId>(rng() % system.taskCount());
+        const std::size_t overrideOption =
+            rng() % system.task(overrideTask).optionCount();
+        double expected = 0.0;
+        buffer.forEachFifo([&](queueing::SlotId,
+                               const queueing::InputRecord &rec) {
+            for (const TaskId taskId : system.job(rec.jobId).tasks) {
+                const std::size_t option = taskId == overrideTask ?
+                    overrideOption : current[taskId];
+                expected += system.executionProbability(taskId) *
+                    estimator.estimate(system.task(taskId).option(option),
+                                       power);
+            }
+        });
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(engine.backlogServiceSeconds(
+                      system, buffer, estimator, power, overrideTask,
+                      overrideOption)),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "step " << step;
+    }
+    EXPECT_GT(nextId, 1000u);
 }
 
 } // namespace

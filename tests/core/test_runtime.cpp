@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include "app/person_detection.hpp"
 #include "core/runtime.hpp"
 #include "core_test_fixtures.hpp"
+#include "sim/experiment.hpp"
+#include "sim/simulator.hpp"
 
 namespace quetzal {
 namespace core {
 namespace {
 
+using testing_fixtures::CountingEstimator;
 using testing_fixtures::makeSmallSystem;
 using testing_fixtures::pushInput;
 
@@ -140,6 +144,47 @@ TEST(Controller, DegradationCountsInStats)
     EXPECT_TRUE(selection->degraded);
     EXPECT_EQ(controller->stats().degradedJobs, 1u);
     EXPECT_EQ(controller->stats().iboPredictions, 1u);
+}
+
+TEST(Controller, DecisionsReadCachedServiceTerms)
+{
+    // A host-independent work counter for the decision path: QZ on
+    // the more-crowded environment, its estimator wrapped in a
+    // counter. Alg. 1 and Alg. 2 read E[S] terms that are re-derived
+    // only when the power code or a probability changes, so a run
+    // needs a small fraction of one estimate() per decision (a
+    // per-decision re-derivation costs two or more).
+    sim::ExperimentConfig config;
+    config.environment = trace::EnvironmentPreset::MoreCrowded;
+    config.eventCount = 40;
+    config.seed = 1;
+    const trace::EventTrace events = sim::buildEventTrace(config);
+    const energy::PowerTrace watts = sim::buildPowerTrace(config, events);
+    const app::DeviceProfile profile = app::deviceProfile(config.device);
+    SystemConfig systemConfig = config.system;
+    systemConfig.captureHz = static_cast<double>(kTicksPerSecond) /
+        static_cast<double>(config.sim.capturePeriod);
+    TaskSystem system(systemConfig);
+    const app::ApplicationModel appModel =
+        app::buildPersonDetectionApp(system, profile);
+
+    auto counting = std::make_unique<CountingEstimator>(
+        std::make_unique<EnergyAwareEstimator>(true));
+    const CountingEstimator &counter = *counting;
+    Controller controller("QZ-counted",
+                          std::make_unique<EnergyAwareSjfPolicy>(),
+                          std::make_unique<IboReactionEngine>(),
+                          std::move(counting), config.pid);
+    sim::Simulator simulator(config.sim, profile, appModel, system,
+                             controller, watts, events);
+    simulator.run();
+
+    const std::uint64_t decisions = controller.stats().invocations;
+    ASSERT_GT(decisions, 1000u);
+    EXPECT_LE(static_cast<double>(counter.calls()),
+              0.2 * static_cast<double>(decisions))
+        << counter.calls() << " estimate() calls over " << decisions
+        << " decisions";
 }
 
 TEST(ControllerDeathTest, MissingCollaboratorsFatal)

@@ -5,13 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <random>
+
 #include "core_test_fixtures.hpp"
 
 namespace quetzal {
 namespace core {
 namespace {
 
+using testing_fixtures::CountingEstimator;
+using testing_fixtures::makeMixedSystem;
 using testing_fixtures::makeSmallSystem;
+using testing_fixtures::referenceService;
 
 TEST(TaskSystem, RegistersTasksAndJobs)
 {
@@ -112,6 +118,127 @@ TEST(TaskSystem, ExpectedJobServiceScalesWithPower)
     const PowerReading high{200e-3, 0};
     EXPECT_NEAR(s.system->expectedJobService(transmit, exact, high),
                 0.8, 1e-9);
+}
+
+TEST(TaskSystem, ExpectedJobServiceMatchesRecomputation)
+{
+    TaskSystem system = makeMixedSystem();
+    EnergyAwareEstimator circuit(true);
+    EnergyAwareEstimator exact(false);
+    AverageServiceTimeEstimator average;
+    const ServiceTimeEstimator *estimators[] = {&circuit, &exact,
+                                                &average};
+    // Equal watts with different codes and equal codes with different
+    // watts, so each estimator's powerKey() is exercised both ways.
+    const PowerReading readings[] = {
+        {2e-3, 40}, {2e-3, 41}, {9e-3, 41}, {50e-3, 200}};
+
+    std::mt19937_64 rng(0x5e2eull);
+    std::string saved;
+    system.saveCheckpoint(saved);
+    int probabilityChanges = 0;
+    for (int step = 0; step < 5000; ++step) {
+        const auto roll = rng() % 100;
+        if (roll < 10) {
+            const Job &job = system.job(rng() % system.jobCount());
+            std::vector<bool> executed;
+            for (std::size_t i = 0; i < job.tasks.size(); ++i)
+                executed.push_back(rng() % 4 != 0);
+            const double before =
+                system.executionProbability(job.tasks[0]);
+            system.recordJobCompletion(job, executed);
+            probabilityChanges +=
+                system.executionProbability(job.tasks[0]) != before;
+        } else if (roll < 15) {
+            const Task &task = system.task(rng() % system.taskCount());
+            average.recordObservation(
+                task.option(rng() % task.optionCount()),
+                0.01 * static_cast<double>(1 + rng() % 500));
+        } else if (roll < 17) {
+            saved.clear();
+            system.saveCheckpoint(saved);
+        } else if (roll < 19) {
+            util::wire::Reader in(saved);
+            ASSERT_TRUE(system.loadCheckpoint(in));
+        }
+
+        const Job &job = system.job(rng() % system.jobCount());
+        const ServiceTimeEstimator &estimator = *estimators[rng() % 3];
+        const PowerReading power = readings[rng() % 4];
+        OptionVec options;
+        const auto shape = rng() % 3;
+        if (shape > 0) {
+            for (const TaskId taskId : job.tasks)
+                options.push_back(shape == 1 ? 0 :
+                                  rng() % system.task(taskId).optionCount());
+        }
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(system.expectedJobService(
+                      job, estimator, power, options)),
+                  std::bit_cast<std::uint64_t>(referenceService(
+                      system, job, estimator, power, options)))
+            << "step " << step;
+    }
+    EXPECT_GT(probabilityChanges, 100);
+}
+
+TEST(TaskSystem, ServiceTermsChangeOnlyWithTheirInputs)
+{
+    auto s = makeSmallSystem();
+    CountingEstimator counting(std::make_unique<EnergyAwareEstimator>(true));
+    const Job &classify = s.system->job(s.classifyJob);
+    const Job &transmit = s.system->job(s.transmitJob);
+    const PowerReading low{5e-3, 60};
+    // One derivation estimates every option of every task.
+    const std::uint64_t table = 4;
+
+    s.system->expectedJobService(classify, counting, low);
+    EXPECT_EQ(counting.calls(), table);
+    // Repeats, other option vectors, another job and another reading
+    // with the same code are all table reads.
+    for (int i = 0; i < 5; ++i) {
+        s.system->expectedJobService(classify, counting, low);
+        s.system->expectedJobService(classify, counting, low, {0});
+        s.system->expectedJobService(classify, counting, {7e-3, 60}, {1});
+        s.system->expectedJobService(transmit, counting, low, {1});
+    }
+    EXPECT_EQ(counting.calls(), table);
+
+    // A completion that leaves every probability at 1.0 keeps the
+    // table; one that skips the task moves it and derives it again.
+    s.system->recordJobCompletion(classify, {true});
+    s.system->expectedJobService(classify, counting, low);
+    EXPECT_EQ(counting.calls(), table);
+    s.system->recordJobCompletion(classify, {false});
+    s.system->expectedJobService(classify, counting, low);
+    EXPECT_EQ(counting.calls(), 2 * table);
+
+    // So do a new power code and a restore.
+    s.system->expectedJobService(transmit, counting, {5e-3, 61});
+    EXPECT_EQ(counting.calls(), 3 * table);
+    std::string saved;
+    s.system->saveCheckpoint(saved);
+    util::wire::Reader in(saved);
+    ASSERT_TRUE(s.system->loadCheckpoint(in));
+    s.system->expectedJobService(transmit, counting, {5e-3, 61});
+    EXPECT_EQ(counting.calls(), 4 * table);
+}
+
+TEST(TaskSystem, LoadCheckpointRejectsArrivalCursorOutsideTheWindow)
+{
+    SystemConfig config;
+    config.arrivalWindow = 4;
+    auto s = makeSmallSystem(config);
+    for (int i = 0; i < 6; ++i)
+        s.system->recordCapture(true);
+    std::string saved;
+    s.system->saveCheckpoint(saved);
+    // Circuit state (4 doubles and a byte), then the window size 4
+    // and its four counts: the arrival cursor follows.
+    const std::size_t cursorAt = 4 * 8 + 1 + 1 + 4;
+    ASSERT_EQ(saved[cursorAt], 1);
+    saved[cursorAt] = 4;
+    util::wire::Reader in(saved);
+    EXPECT_FALSE(s.system->loadCheckpoint(in));
 }
 
 TEST(TaskSystemDeathTest, RegistrationValidation)

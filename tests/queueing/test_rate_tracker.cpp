@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <random>
+
 #include "queueing/rate_tracker.hpp"
 
 namespace quetzal {
@@ -77,6 +81,77 @@ TEST(ArrivalRateTracker, ClearResets)
     tracker.clear();
     EXPECT_EQ(tracker.filled(), 0u);
     EXPECT_DOUBLE_EQ(tracker.arrivalsPerSecond(), 1.0); // conservative
+}
+
+/**
+ * The burst mean recomputed from the exported counts: the last
+ * min(filled, kBurstPeriods) periods ending at the cursor, summed
+ * back to front.
+ */
+double
+bruteForceBurst(const ArrivalRateTracker &tracker)
+{
+    const ArrivalRateTracker::State state = tracker.exportState();
+    if (state.filledPeriods == 0)
+        return 1.0;
+    const auto size = static_cast<std::uint32_t>(state.counts.size());
+    const std::uint32_t span =
+        std::min(state.filledPeriods, ArrivalRateTracker::kBurstPeriods);
+    std::uint32_t sum = 0;
+    for (std::uint32_t back = 0; back < span; ++back)
+        sum += state.counts[(state.cursor + size - back) % size];
+    return static_cast<double>(sum) / static_cast<double>(span);
+}
+
+TEST(ArrivalRateTracker, IncrementalBurstMatchesBruteForce)
+{
+    std::mt19937_64 rng(0xb0257ull);
+    for (const std::uint32_t window : {1u, 8u, 15u, 16u, 17u, 256u}) {
+        SCOPED_TRACE(::testing::Message() << "window " << window);
+        ArrivalRateTracker tracker(window, 2.0);
+        // Carries unrelated history, so an import must replace it.
+        ArrivalRateTracker other(window, 2.0);
+        int saturated = 0;
+        int imports = 0;
+        for (int step = 0; step < 6000; ++step) {
+            const auto roll = rng() % 1000;
+            if (roll < 400) {
+                tracker.recordCapture(roll < 250);
+            } else if (roll < 550) {
+                tracker.beginPeriod();
+            } else if (roll < 980) {
+                // Mostly a few insertions; now and then enough to
+                // pin the period's count at 255.
+                const auto burst = rng() % 16 == 0 ? 300 : rng() % 4;
+                for (std::uint64_t i = 0; i < burst; ++i)
+                    tracker.recordInsertion();
+            } else if (roll < 985) {
+                tracker.clear();
+            } else {
+                for (int i = 0; i < 40; ++i)
+                    other.recordCapture(rng() % 2 == 0);
+                other.importState(tracker.exportState());
+                std::swap(tracker, other);
+                ++imports;
+            }
+            const ArrivalRateTracker::State state = tracker.exportState();
+            saturated += std::count(state.counts.begin(),
+                                    state.counts.end(), 255) > 0;
+            const double burst = bruteForceBurst(tracker);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                          tracker.burstInsertionsPerPeriod()),
+                      std::bit_cast<std::uint64_t>(burst))
+                << "step " << step;
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                          tracker.arrivalsPerSecond()),
+                      std::bit_cast<std::uint64_t>(
+                          std::max(tracker.insertionsPerPeriod(), burst) *
+                          2.0))
+                << "step " << step;
+        }
+        EXPECT_GT(saturated, 0);
+        EXPECT_GT(imports, 0);
+    }
 }
 
 TEST(ExecutionProbabilityTracker, ConservativeDefault)

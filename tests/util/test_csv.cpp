@@ -83,7 +83,6 @@ TEST(Csv, ParseIntAcceptsEveryTargetsFullRange)
     EXPECT_EQ(parseInt<unsigned long>("18446744073709551615"),
               std::numeric_limits<unsigned long>::max());
     EXPECT_EQ(parseInt<unsigned long long>("0"), 0u);
-    EXPECT_EQ(parseInt<int>("+12"), 12);
 }
 
 TEST(Csv, ParseDoubleAcceptsUnderflow)
@@ -174,9 +173,55 @@ TEST(CsvDeathTest, NegativeForAnUnsignedTargetIsFatal)
     EXPECT_EXIT(parseInt<unsigned>("-1", "--jobs"),
                 ::testing::ExitedWithCode(1),
                 "negative value for --jobs: '-1'");
-    EXPECT_EXIT(parseInt<std::uint64_t>(" -5", "--seed"),
+    EXPECT_EXIT(parseInt<std::uint64_t>("-5", "--seed"),
                 ::testing::ExitedWithCode(1),
                 "negative value for --seed");
+}
+
+TEST(CsvDeathTest, FormsNoJsonNumberTakesAreFatal)
+{
+    // strtod/strtoll skip leading whitespace, take a leading '+' and
+    // (strtod) hexadecimal; the same knobs in a scenario file take
+    // only JSON numbers, so the flags must not accept more.
+    EXPECT_EXIT(parseDouble("0x32", "--threshold"),
+                ::testing::ExitedWithCode(1),
+                "malformed number for --threshold: '0x32'");
+    EXPECT_EXIT(parseDouble("-0X1p3"), ::testing::ExitedWithCode(1),
+                "malformed number for CSV field: '-0X1p3'");
+    EXPECT_EXIT(parseDouble("+2.5", "--peak"),
+                ::testing::ExitedWithCode(1),
+                "malformed number for --peak: '\\+2.5'");
+    EXPECT_EXIT(parseDouble(" 2.5", "--peak"),
+                ::testing::ExitedWithCode(1),
+                "malformed number for --peak: ' 2.5'");
+    EXPECT_EXIT(parseInt<std::uint64_t>("+7", "--seed"),
+                ::testing::ExitedWithCode(1),
+                "malformed integer for --seed: '\\+7'");
+    EXPECT_EXIT(parseInt<std::uint64_t>(" 7", "--seed"),
+                ::testing::ExitedWithCode(1),
+                "malformed integer for --seed: ' 7'");
+    EXPECT_EXIT(parseInt<std::uint64_t>(" -5", "--seed"),
+                ::testing::ExitedWithCode(1),
+                "malformed integer for --seed: ' -5'");
+    EXPECT_EXIT(parseInt<int>("\t3", "--cells"),
+                ::testing::ExitedWithCode(1),
+                "malformed integer for --cells");
+    EXPECT_EXIT(parseInt("+1"), ::testing::ExitedWithCode(1),
+                "malformed integer for CSV field");
+}
+
+TEST(Csv, TrimmedCsvFieldsStillParse)
+{
+    // readCsv trims every field, so padded CSV input is unaffected.
+    std::istringstream in(" 1.5 ,  -2 \n");
+    const auto rows = readCsv(in);
+    ASSERT_EQ(rows.size(), 1u);
+    ASSERT_EQ(rows[0].size(), 2u);
+    EXPECT_EQ(parseDouble(rows[0][0]), 1.5);
+    EXPECT_EQ(parseInt(rows[0][1]), -2);
+    // Exponents and negative zero are JSON numbers and stay valid.
+    EXPECT_EQ(parseDouble("2.5E-3"), 2.5e-3);
+    EXPECT_EQ(parseDouble("-0"), 0.0);
 }
 
 } // namespace
