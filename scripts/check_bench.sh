@@ -18,16 +18,23 @@
 #     "primary": "<field>",            # metric the gate compares
 #     "args":        [...],            # full workload argv
 #     "smoke_args":  [...],            # reduced workload for ctest
+#     "smoke_counters": {"<field>": N},  # optional, see below
 #     "entries": [                     # newest last; newest = baseline
 #       {"label": "<pr/commit>", ...full emitted JSON line...}
 #     ]
 #   }
 #
+# smoke_counters pins deterministic work counts of the smoke workload
+# (micro_fleet's device_steps). They do not move with the host, so
+# the gate is exact: any increase fails, and a decrease passes and
+# prints the new count for `--smoke --update` to pin.
+#
 # Usage: scripts/check_bench.sh [--smoke] [--update] [--self-test]
 #                               [build-dir]
 #   --smoke      reduced workloads (the ctest wiring uses this)
 #   --update     append the measurements to the trajectory files
-#                (label from QUETZAL_BENCH_LABEL, default git HEAD)
+#                (label from QUETZAL_BENCH_LABEL, default git HEAD);
+#                with --smoke, re-pin smoke_counters instead
 #   --self-test  verify the gate trips on a synthetic regression
 #   build-dir    defaults to build/
 #
@@ -106,12 +113,21 @@ if [ "$SELFTEST" -eq 1 ]; then
     # The gate must trip on a synthetic regression well past the
     # threshold; run the suite once with inflated measurements and
     # require failure.
-    if QUETZAL_BENCH_INJECT=100.0 "$0" --smoke "$BUILD_DIR" \
-            >/dev/null 2>&1; then
+    if out="$(QUETZAL_BENCH_INJECT=100.0 "$0" --smoke "$BUILD_DIR" \
+            2>&1)"; then
         echo "check_bench: SELF-TEST FAILED (injected 100x regression" \
              "passed the gate)" >&2
         exit 1
     fi
+    # Both kinds of gate must trip: the wall-clock ratio and the
+    # pinned work counters.
+    for gate in "FAIL ns_per_device_day=" "FAIL device_steps="; do
+        if ! grep -q "$gate" <<<"$out"; then
+            echo "check_bench: SELF-TEST FAILED (injected regression" \
+                 "did not trip '$gate')" >&2
+            exit 1
+        fi
+    done
     echo "check_bench: self-test OK (injected regression detected)"
     exit 0
 fi
@@ -143,9 +159,9 @@ EOF
 
     verdict="$(python3 - "$baseline" "$THRESHOLD" "$INJECT" "$UPDATE" \
             "${QUETZAL_BENCH_LABEL:-$(git rev-parse --short HEAD \
-                2>/dev/null || echo local)}" "$out" <<'EOF'
+                2>/dev/null || echo local)}" "$out" "$SMOKE" <<'EOF'
 import json, os, sys
-path, threshold, inject, update, label, out = sys.argv[1:7]
+path, threshold, inject, update, label, out, smoke = sys.argv[1:8]
 line = json.loads(out.splitlines()[-1])
 threshold, inject = float(threshold), float(inject)
 t = json.load(open(path))
@@ -173,12 +189,33 @@ if "checkpoint_overhead_pct" in line:
     word = "FAIL" if pct >= limit else "OK"
     verdict += (f"; {word} checkpoint_overhead_pct={pct:.2f}"
                 f" (budget {limit:.1f}, jobs {line.get('jobs', '?')})")
-if update == "1":
+# Exact gate on pinned work counters (smoke workload only: the pins
+# are counts of that shape).
+if smoke == "1":
+    for field, pinned in t.get("smoke_counters", {}).items():
+        if field not in line:
+            verdict += f"; FAIL {field} missing from the bench line"
+            continue
+        count = round(float(line[field]) * inject)
+        if count > pinned:
+            verdict += (f"; FAIL {field}={count} pinned={pinned}"
+                        f" (any increase fails)")
+        elif count < pinned:
+            verdict += (f"; OK {field}={count} below pinned={pinned}:"
+                        f" pin it with --smoke --update")
+        else:
+            verdict += f"; OK {field}={count} (pinned)"
+        if update == "1":
+            t["smoke_counters"][field] = count
+# Entries record the full workload (args); a smoke update re-pins the
+# counters above and appends nothing.
+if update == "1" and smoke != "1":
     entry = dict(line)
     entry["label"] = label
     if inject != 1.0:
         entry[primary] = float(line[primary]) * inject
     t.setdefault("entries", []).append(entry)
+if update == "1":
     with open(path, "w") as f:
         json.dump(t, f, indent=2)
         f.write("\n")

@@ -33,6 +33,7 @@ Controller::selectJob(TaskSystem &system,
     const double correction = pidCorrection();
     schedPolicy->observe(runtime);
     adaptPolicy->observe(runtime);
+    const TaskSystem::ServiceRound round(system, *serviceEstimator, power);
 
     const auto decision = schedPolicy->select(system, buffer,
                                               *serviceEstimator, power,
@@ -123,10 +124,24 @@ Controller::onJobComplete(TaskSystem &system, const JobSelection &selection,
                           const std::vector<bool> &executedPerTask,
                           double observedSeconds)
 {
-    ++runStats.jobsCompleted;
-    const Job &job = system.job(selection.jobId);
-    system.recordJobCompletion(job, executedPerTask);
+    system.recordJobCompletion(system.job(selection.jobId),
+                               executedPerTask);
+    feedBackCompletion(selection, observedSeconds);
+}
 
+void
+Controller::onJobComplete(TaskSystem &system, const JobSelection &selection,
+                          double observedSeconds)
+{
+    system.recordJobCompletion(system.job(selection.jobId));
+    feedBackCompletion(selection, observedSeconds);
+}
+
+void
+Controller::feedBackCompletion(const JobSelection &selection,
+                               double observedSeconds)
+{
+    ++runStats.jobsCompleted;
     if (selection.predictedServiceSeconds > 0.0) {
         // Section 4.3: error = observed - predicted. Positive error
         // means the job ran longer than modeled, so future E[S]
@@ -165,14 +180,7 @@ Controller::saveCheckpoint(std::string &out) const
     wire::putVarint(out, runStats.iboPredictions);
     wire::putVarint(out, runStats.degradedJobs);
     wire::putVarint(out, runStats.jobsCompleted);
-    const util::RunningStats::State error =
-        runStats.predictionError.exportState();
-    wire::putVarint(out, error.n);
-    wire::putDouble(out, error.runningMean);
-    wire::putDouble(out, error.m2);
-    wire::putDouble(out, error.minSample);
-    wire::putDouble(out, error.maxSample);
-    wire::putDouble(out, error.total);
+    util::putRunningStats(out, runStats.predictionError);
     out.push_back(pid ? '\1' : '\0');
     if (pid) {
         const PidController::State loop = pid->exportState();
@@ -201,15 +209,9 @@ Controller::loadCheckpoint(util::wire::Reader &in)
     if (!in.getVarint(counter) || !in.getVarint(restored.invocations) ||
         !in.getVarint(restored.iboPredictions) ||
         !in.getVarint(restored.degradedJobs) ||
-        !in.getVarint(restored.jobsCompleted))
+        !in.getVarint(restored.jobsCompleted) ||
+        !util::getRunningStats(in, restored.predictionError))
         return false;
-    std::uint64_t errorN = 0;
-    util::RunningStats::State error;
-    if (!in.getVarint(errorN) || !in.getDouble(error.runningMean) ||
-        !in.getDouble(error.m2) || !in.getDouble(error.minSample) ||
-        !in.getDouble(error.maxSample) || !in.getDouble(error.total))
-        return false;
-    error.n = static_cast<std::size_t>(errorN);
     std::uint8_t hasPid = 0;
     if (!in.getByte(hasPid) || hasPid > 1)
         return false;
@@ -239,7 +241,6 @@ Controller::loadCheckpoint(util::wire::Reader &in)
         return false;
     decisionCounter = counter;
     runStats = restored;
-    runStats.predictionError.importState(error);
     if (pid)
         pid->importState(loop);
     return true;

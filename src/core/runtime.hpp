@@ -85,6 +85,8 @@ class Controller
     /**
      * Run one scheduling round: measure power, select a job, choose
      * degradation options. Returns nullopt when nothing is queued.
+     * Both policies run inside one TaskSystem::ServiceRound over the
+     * controller's estimator and the measured reading.
      * @param runtime device-state snapshot forwarded to both policies
      *        via observe() (default empty keeps legacy callers valid)
      */
@@ -115,6 +117,10 @@ class Controller
      */
     void onJobComplete(TaskSystem &system, const JobSelection &selection,
                        const std::vector<bool> &executedPerTask,
+                       double observedSeconds);
+
+    /** onJobComplete() for a job whose every task ran. */
+    void onJobComplete(TaskSystem &system, const JobSelection &selection,
                        double observedSeconds);
 
     /** Current PID output (0 when the loop is disabled). */
@@ -152,6 +158,10 @@ class Controller
     /// @}
 
   private:
+    /** Counters and the PID loop; the windows are already updated. */
+    void feedBackCompletion(const JobSelection &selection,
+                            double observedSeconds);
+
     std::string controllerName;
     std::unique_ptr<SchedulerPolicy> schedPolicy;
     std::unique_ptr<AdaptationPolicy> adaptPolicy;

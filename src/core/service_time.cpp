@@ -122,13 +122,7 @@ AverageServiceTimeEstimator::saveState(std::string &out) const
     for (const auto &[key, stats] : history) {
         wire::putZigzag(out, static_cast<std::int64_t>(key.first));
         wire::putZigzag(out, static_cast<std::int64_t>(key.second));
-        const util::RunningStats::State s = stats.exportState();
-        wire::putVarint(out, s.n);
-        wire::putDouble(out, s.runningMean);
-        wire::putDouble(out, s.m2);
-        wire::putDouble(out, s.minSample);
-        wire::putDouble(out, s.maxSample);
-        wire::putDouble(out, s.total);
+        util::putRunningStats(out, stats);
     }
 }
 
@@ -145,18 +139,12 @@ AverageServiceTimeEstimator::loadState(util::wire::Reader &in)
     for (std::uint64_t i = 0; i < entries; ++i) {
         std::int64_t tick = 0;
         std::int64_t power = 0;
-        std::uint64_t n = 0;
-        util::RunningStats::State s;
+        util::RunningStats stats;
         if (!in.getZigzag(tick) || !in.getZigzag(power) ||
-            !in.getVarint(n) || !in.getDouble(s.runningMean) ||
-            !in.getDouble(s.m2) || !in.getDouble(s.minSample) ||
-            !in.getDouble(s.maxSample) || !in.getDouble(s.total))
+            !util::getRunningStats(in, stats))
             return false;
-        s.n = static_cast<std::size_t>(n);
         const Key key{static_cast<Tick>(tick),
                       static_cast<long long>(power)};
-        util::RunningStats stats;
-        stats.importState(s);
         restored.emplace(key, stats);
     }
     history = std::move(restored);

@@ -44,6 +44,7 @@ TaskSystem::addTask(const std::string &name,
     termTable.resize(termTable.size() + options.size());
     ++stateRevision;
     ++probabilityEpoch;
+    round.keyChecked = false;
     return id;
 }
 
@@ -84,6 +85,12 @@ TaskSystem::badId(const char *what, std::uint64_t id)
 }
 
 void
+TaskSystem::badOptionCount()
+{
+    util::panic("option choices do not match job task count");
+}
+
+void
 TaskSystem::recordCapture(bool stored)
 {
     arrivalTracker.recordCapture(stored);
@@ -107,7 +114,19 @@ TaskSystem::recordJobCompletion(const Job &job,
 {
     if (executedPerTask.size() != job.tasks.size())
         util::panic("executed flags do not match job task count");
+    appendCompletion(job, &executedPerTask);
+}
 
+void
+TaskSystem::recordJobCompletion(const Job &job)
+{
+    appendCompletion(job, nullptr);
+}
+
+void
+TaskSystem::appendCompletion(const Job &job,
+                             const std::vector<bool> *executedPerTask)
+{
     // Atomic window update (paper section 5.1): one bit per task of
     // the completed job. The estimate is the probability a task runs
     // *given its job was scheduled* — exactly the weight Alg. 1 needs
@@ -115,16 +134,17 @@ TaskSystem::recordJobCompletion(const Job &job,
     // jobs are not diluted by this job's completions).
     bool probabilityMoved = false;
     for (std::size_t i = 0; i < job.tasks.size(); ++i) {
-        queueing::ExecutionProbabilityTracker &tracker =
-            probTrackers[job.tasks[i]];
-        const double before = tracker.probability();
-        tracker.recordExecution(executedPerTask[i]);
+        const bool executed =
+            executedPerTask == nullptr || (*executedPerTask)[i];
         probabilityMoved =
-            probabilityMoved || tracker.probability() != before;
+            probTrackers[job.tasks[i]].recordExecution(executed) ||
+            probabilityMoved;
     }
     ++stateRevision;
-    if (probabilityMoved)
+    if (probabilityMoved) {
         ++probabilityEpoch;
+        round.keyChecked = false;
+    }
 }
 
 PowerReading
@@ -149,7 +169,7 @@ TaskSystem::measureInputPower(Watts truePower)
 }
 
 const double *
-TaskSystem::serviceTerms(const ServiceTimeEstimator &estimator,
+TaskSystem::checkedTerms(const ServiceTimeEstimator &estimator,
                          const PowerReading &power) const
 {
     // Estimators declare what their estimates depend on (version(),
@@ -167,24 +187,10 @@ TaskSystem::serviceTerms(const ServiceTimeEstimator &estimator,
                     estimator.estimate(t.option(opt), power);
         }
     }
+    // The table now holds this call's key; it is the round's key
+    // exactly when the call carries the round's inputs.
+    round.keyChecked = roundInputs(estimator, power);
     return termTable.data();
-}
-
-double
-TaskSystem::expectedJobService(const Job &job,
-                               const ServiceTimeEstimator &estimator,
-                               const PowerReading &power,
-                               const OptionVec &optionPerTask) const
-{
-    if (!optionPerTask.empty() && optionPerTask.size() != job.tasks.size())
-        util::panic("option choices do not match job task count");
-
-    const double *terms = serviceTerms(estimator, power);
-    double expected = 0.0;
-    for (std::size_t i = 0; i < job.tasks.size(); ++i)
-        expected += terms[serviceTermIndex(
-            job.tasks[i], optionPerTask.empty() ? 0 : optionPerTask[i])];
-    return expected;
 }
 
 void
@@ -272,6 +278,12 @@ TaskSystem::loadCheckpoint(util::wire::Reader &in)
             !in.getVarint(windowCursor) || !in.getVarint(words) ||
             words > in.remaining() / 8)
             return false;
+        // The window size is configuration; a state that does not fit
+        // it would send the append cursor past the words.
+        if (words != (std::uint64_t{cfg.taskWindow} + 63) / 64 ||
+            windowCursor >= cfg.taskWindow || bits > cfg.taskWindow ||
+            ones > bits)
+            return false;
         window.filledBits = static_cast<std::uint32_t>(bits);
         window.onesCount = static_cast<std::uint32_t>(ones);
         window.cursor = static_cast<std::uint32_t>(windowCursor);
@@ -296,6 +308,7 @@ TaskSystem::loadCheckpoint(util::wire::Reader &in)
     // Drop the caches: a miss recomputes the exact double a hit would
     // have replayed, so this cannot change any output byte.
     ++probabilityEpoch;
+    round.keyChecked = false;
     measureMemoValid = false;
     return true;
 }

@@ -13,6 +13,7 @@
 #ifndef QUETZAL_CORE_SYSTEM_HPP
 #define QUETZAL_CORE_SYSTEM_HPP
 
+#include <bit>
 #include <optional>
 #include <string>
 #include <vector>
@@ -117,6 +118,9 @@ class TaskSystem
     void recordJobCompletion(const Job &job,
                              const std::vector<bool> &executedPerTask);
 
+    /** recordJobCompletion() for a job whose every task ran. */
+    void recordJobCompletion(const Job &job);
+
     /** Execution-probability estimate for a task. */
     double
     executionProbability(TaskId id) const
@@ -143,12 +147,55 @@ class TaskSystem
      * option)]. The table is derived again only when one of its
      * inputs changed since the last call: the estimator instance, its
      * version(), its powerKey(power), or some execution probability.
+     * Inside a ServiceRound, calls with the round's estimator and
+     * reading check that key once and then read the table directly.
      * Each entry is the very double a fresh product gives, so every
      * sum over the table is bit-identical to recomputing it. The
      * pointer is valid until the next call.
      */
-    const double *serviceTerms(const ServiceTimeEstimator &estimator,
-                               const PowerReading &power) const;
+    const double *
+    serviceTerms(const ServiceTimeEstimator &estimator,
+                 const PowerReading &power) const
+    {
+        // Inside a round the key cannot change, so once it has been
+        // checked the table is read as it stands.
+        if (round.keyChecked && roundInputs(estimator, power))
+            return termTable.data();
+        return checkedTerms(estimator, power);
+    }
+
+    /**
+     * One scheduling round's scope over serviceTerms(). A decision
+     * reads the table under one estimator and one power reading, and
+     * neither the estimator's history nor any execution probability
+     * can change before it ends (policies see both as const), so the
+     * key is checked on the round's first serviceTerms() call only.
+     * A call with another estimator instance or another reading takes
+     * the full key check. Closes when it goes out of scope.
+     */
+    class ServiceRound
+    {
+      public:
+        ServiceRound(TaskSystem &system,
+                     const ServiceTimeEstimator &estimator,
+                     const PowerReading &power)
+            : owner(system)
+        {
+            // Field by field: an aggregate copy of the padded Round
+            // goes through a stack temporary whose overlapping loads
+            // stall store forwarding on every decision.
+            owner.round.estimator = &estimator;
+            owner.round.watts = std::bit_cast<std::uint64_t>(power.watts);
+            owner.round.code = power.code;
+            owner.round.keyChecked = false;
+        }
+        ~ServiceRound() { owner.round.estimator = nullptr; }
+        ServiceRound(const ServiceRound &) = delete;
+        ServiceRound &operator=(const ServiceRound &) = delete;
+
+      private:
+        TaskSystem &owner;
+    };
 
     /** Where serviceTerms() keeps a task option's term. */
     std::size_t
@@ -167,10 +214,21 @@ class TaskSystem
      * @param optionPerTask option index per position in job.tasks;
      *        pass {} for all-highest-quality
      */
-    double expectedJobService(const Job &job,
-                              const ServiceTimeEstimator &estimator,
-                              const PowerReading &power,
-                              const OptionVec &optionPerTask = {}) const;
+    double
+    expectedJobService(const Job &job, const ServiceTimeEstimator &estimator,
+                       const PowerReading &power,
+                       const OptionVec &optionPerTask = {}) const
+    {
+        if (!optionPerTask.empty() &&
+            optionPerTask.size() != job.tasks.size())
+            badOptionCount();
+        const double *terms = serviceTerms(estimator, power);
+        double expected = 0.0;
+        for (std::size_t i = 0; i < job.tasks.size(); ++i)
+            expected += terms[serviceTermIndex(
+                job.tasks[i], optionPerTask.empty() ? 0 : optionPerTask[i])];
+        return expected;
+    }
 
     /**
      * @name Checkpoint
@@ -189,8 +247,17 @@ class TaskSystem
     /// @}
 
   private:
-    /** Cold panic path kept out of line so the lookups inline. */
+    /** Cold panic paths kept out of line so the lookups inline. */
     [[noreturn]] static void badId(const char *what, std::uint64_t id);
+    [[noreturn]] static void badOptionCount();
+
+    /**
+     * serviceTerms() past the in-round fast path: check the key,
+     * re-derive the table when it changed, and mark the round's key
+     * checked when the call carries the round's inputs.
+     */
+    const double *checkedTerms(const ServiceTimeEstimator &estimator,
+                               const PowerReading &power) const;
 
     /** Everything a term depends on besides its task and option. */
     struct TermKey
@@ -222,6 +289,36 @@ class TaskSystem
      * ones — keep the term table.
      */
     std::uint64_t probabilityEpoch = 0;
+
+    /** Both recordJobCompletion()s; nullptr flags: every task ran. */
+    void appendCompletion(const Job &job,
+                          const std::vector<bool> *executedPerTask);
+
+    /**
+     * The open ServiceRound (estimator == nullptr when none).
+     * keyChecked: the table holds the terms of the round's key, so
+     * in-round calls can skip the key check. A key check sets it when
+     * the call carries the round's inputs and clears it otherwise; a
+     * probability-epoch move clears it too.
+     */
+    struct Round
+    {
+        const ServiceTimeEstimator *estimator = nullptr;
+        std::uint64_t watts = 0; ///< the reading's watts, as bits
+        std::uint8_t code = 0;
+        bool keyChecked = false;
+    };
+    mutable Round round;
+
+    /** Does a serviceTerms() call carry the open round's inputs? */
+    bool
+    roundInputs(const ServiceTimeEstimator &estimator,
+                const PowerReading &power) const
+    {
+        return round.estimator == &estimator &&
+            round.watts == std::bit_cast<std::uint64_t>(power.watts) &&
+            round.code == power.code;
+    }
 
     /** First serviceTerms() entry of each task. */
     std::vector<std::size_t> termOffset;

@@ -70,9 +70,7 @@ runWalk(core::SchedulerPolicy &scheduler,
         while (!inFlight.empty() && inFlight.front().dueRound <= round) {
             const InFlight done = inFlight.front();
             inFlight.pop_front();
-            const core::Job &job = system.job(done.jobId);
-            const std::vector<bool> executed(job.tasks.size(), true);
-            system.recordJobCompletion(job, executed);
+            system.recordJobCompletion(system.job(done.jobId));
             if (done.jobId == classifyJob && rng.bernoulli(0.5)) {
                 buffer.retagSlot(done.slot, transmitJob, now);
                 system.recordSpawn();

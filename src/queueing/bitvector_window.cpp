@@ -47,7 +47,8 @@ BitVectorWindow::append(bool bit)
     setBit(cursor, bit);
     if (bit)
         ++onesCount;
-    cursor = (cursor + 1) % windowBits;
+    if (++cursor == windowBits)
+        cursor = 0;
 }
 
 double

@@ -117,10 +117,19 @@ ExecutionProbabilityTracker::ExecutionProbabilityTracker(
 {
 }
 
-void
+bool
 ExecutionProbabilityTracker::recordExecution(bool executed)
 {
+    const std::uint32_t filledBefore = window.filled();
+    const std::uint32_t onesBefore = window.ones();
     window.append(executed);
+    if (filledBefore == 0)
+        return !executed; // the 1.0 prior becomes 1/1 or 0/1
+    if (window.filled() == filledBefore)
+        return window.ones() != onesBefore; // warm: evicted != appended
+    // Warm-up: o/f == (o + b)/(f + 1) exactly when o == b * f, i.e.
+    // an all-ones window gains a one or an all-zeros window a zero.
+    return onesBefore != (executed ? filledBefore : 0);
 }
 
 double

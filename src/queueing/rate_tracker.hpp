@@ -139,8 +139,17 @@ class ExecutionProbabilityTracker
      * Record whether the task executed for a completed input. The
      * runtime appends to all of a job's tasks' trackers atomically on
      * job completion (section 5.1).
+     *
+     * Returns whether probability() moved, decided from the window's
+     * integer counts rather than by comparing two divisions: the
+     * fractions o/f and o'/f' are equal exactly when the counts say
+     * so, and while both denominators are below 2^26 (task windows
+     * are at most 4096) distinct fractions are distinct doubles, so
+     * this is the very answer `probability() != before` would give.
+     * On a larger window it can only report a move the doubles hide,
+     * which costs a term-table refresh and changes no value.
      */
-    void recordExecution(bool executed);
+    bool recordExecution(bool executed);
 
     /**
      * Estimated execution probability in [0, 1]. Unobserved tasks

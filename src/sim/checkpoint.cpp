@@ -39,32 +39,6 @@ namespace wire = util::wire;
 namespace {
 
 void
-putRunningStats(std::string &out, const util::RunningStats &stats)
-{
-    const util::RunningStats::State s = stats.exportState();
-    wire::putVarint(out, static_cast<std::uint64_t>(s.n));
-    wire::putDouble(out, s.runningMean);
-    wire::putDouble(out, s.m2);
-    wire::putDouble(out, s.minSample);
-    wire::putDouble(out, s.maxSample);
-    wire::putDouble(out, s.total);
-}
-
-bool
-getRunningStats(wire::Reader &in, util::RunningStats &stats)
-{
-    util::RunningStats::State s;
-    std::uint64_t n = 0;
-    if (!in.getVarint(n) || !in.getDouble(s.runningMean) ||
-        !in.getDouble(s.m2) || !in.getDouble(s.minSample) ||
-        !in.getDouble(s.maxSample) || !in.getDouble(s.total))
-        return false;
-    s.n = static_cast<std::size_t>(n);
-    stats.importState(s);
-    return true;
-}
-
-void
 putRng(std::string &out, const util::Rng &rng)
 {
     const util::Rng::State s = rng.exportState();
@@ -237,8 +211,8 @@ Simulator::saveCheckpoint(Tick now, Tick nominalCapture, Tick nextCapture)
     wire::putDouble(out, metrics.schedulerOverheadEnergy);
     wire::putDouble(out, metrics.telemetryOverheadSeconds);
     wire::putDouble(out, metrics.telemetryOverheadEnergy);
-    putRunningStats(out, metrics.jobServiceSeconds);
-    putRunningStats(out, metrics.predictionErrorSeconds);
+    util::putRunningStats(out, metrics.jobServiceSeconds);
+    util::putRunningStats(out, metrics.predictionErrorSeconds);
 
     // Simulator-owned RNG streams and trace cursors.
     putRng(out, outcomeRng);
@@ -249,7 +223,11 @@ Simulator::saveCheckpoint(Tick now, Tick nominalCapture, Tick nextCapture)
                     static_cast<std::uint64_t>(captureCursor.position()));
     wire::putDouble(out, overheadCarrySeconds);
     wire::putVarint(out, nextInputId);
-    putDeviceStats(out, obsDevice);
+    // The obs watermark. An observed run refreshes it after every
+    // device advance; an unobserved one skips that copy, and at a
+    // quiescent boundary the copy would hold device.stats() itself.
+    putDeviceStats(out, cfg.observer != nullptr ? obsDevice
+                                                : device.stats());
 
     // Telemetry self-cost tail: recorder events stored but not yet
     // charged. The resumed run starts a fresh recorder at zero, so it
@@ -375,8 +353,8 @@ Simulator::restoreCheckpoint(Tick &now, Tick &nominalCapture,
         !in.getDouble(m.schedulerOverheadEnergy) ||
         !in.getDouble(m.telemetryOverheadSeconds) ||
         !in.getDouble(m.telemetryOverheadEnergy) ||
-        !getRunningStats(in, m.jobServiceSeconds) ||
-        !getRunningStats(in, m.predictionErrorSeconds))
+        !util::getRunningStats(in, m.jobServiceSeconds) ||
+        !util::getRunningStats(in, m.predictionErrorSeconds))
         malformed("metrics");
     m.rechargeTicks = static_cast<Tick>(recharge);
     m.activeTicks = static_cast<Tick>(active);

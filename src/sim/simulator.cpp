@@ -221,7 +221,7 @@ Simulator::runTick(Tick horizon, Tick hardCap)
             }
         }
 
-        if (!activeJob)
+        if (!activeJob && !buffer.empty())
             tryBeginJob(now);
 
         const Tick limit = capturing ? std::min(nextCapture, horizon)
@@ -245,9 +245,10 @@ Simulator::runTick(Tick horizon, Tick hardCap)
         }
         now = reached;
 
-        if (observer != nullptr)
+        if (observer != nullptr) {
             observer->setTime(now);
-        recordDeviceObs();
+            recordDeviceObs();
+        }
 
         if (hadTask && !device.taskActive() && activeJob) {
             onTaskFinished(now);
@@ -263,7 +264,7 @@ Simulator::recordDeviceObs()
 {
     const DeviceStats &ds = device.stats();
     obs::Recorder *const observer = cfg.observer;
-    if (observer != nullptr && observer->enabled()) {
+    if (observer->enabled()) {
         if ((ds.powerFailures != obsDevice.powerFailures ||
              ds.checkpointSaves != obsDevice.checkpointSaves) &&
             observer->wants(obs::EventKind::PowerFailure)) {
@@ -284,9 +285,9 @@ Simulator::recordDeviceObs()
             observer->record(event);
         }
     }
-    // The watermark advances whether or not anything observes the
-    // run, so a checkpoint saved without a sink resumes into an
-    // observed run with no catch-up event.
+    // The watermark advances even while the recorder is disabled:
+    // an observed run's checkpoint saves it, and it must not lag the
+    // device there.
     obsDevice = ds;
 }
 
@@ -295,9 +296,8 @@ Simulator::chargeTelemetry()
 {
     // Off by default: with both rates at 0 this never touches the
     // device, so recording stays observation-only (byte-inert).
-    if (cfg.observer == nullptr ||
-        (cfg.telemetrySecondsPerEvent <= 0.0 &&
-         cfg.telemetryEnergyPerEvent <= 0.0))
+    if (cfg.telemetrySecondsPerEvent <= 0.0 &&
+        cfg.telemetryEnergyPerEvent <= 0.0)
         return;
     const auto recorded =
         static_cast<std::int64_t>(cfg.observer->recordedCount());
@@ -320,13 +320,11 @@ Simulator::chargeTelemetry()
 void
 Simulator::tryBeginJob(Tick now)
 {
-    if (buffer.empty())
-        return;
-
     // Measurement-overhead accounting: the events recorded since the
     // last scheduling round cost MCU time and energy *on the device*
     // when the estimator path is instrumented for real.
-    chargeTelemetry();
+    if (cfg.observer != nullptr)
+        chargeTelemetry();
 
     // The controller schedules against the *measured* input power;
     // the fault layer can make that measurement lie while the
@@ -354,15 +352,11 @@ Simulator::tryBeginJob(Tick now)
         *cfg.debugLog << "\n";
     }
 
-    ActiveJob job;
+    ActiveJob &job = activeJob.emplace();
     job.input = buffer.markInFlight(selection->slot);
     job.jobStart = now;
     job.dropsAtStart = totalDrops();
-    executedScratch.assign(
-        system.job(selection->jobId).tasks.size(), true);
-    job.executed = std::move(executedScratch);
     job.selection = std::move(*selection);
-    activeJob = std::move(job);
 
     // Charge the controller's modeled invocation cost (section 6.3:
     // "we evaluated any scheduling policy and degradation-logic ...
@@ -450,8 +444,7 @@ Simulator::finishJob(Tick now)
 {
     const core::Job &job = system.job(activeJob->selection.jobId);
     const double observedJob = ticksToSeconds(now - activeJob->jobStart);
-    controller.onJobComplete(system, activeJob->selection,
-                             activeJob->executed, observedJob);
+    controller.onJobComplete(system, activeJob->selection, observedJob);
     if (cfg.faults != nullptr) {
         cfg.faults->observePrediction(
             activeJob->selection.predictedServiceSeconds, observedJob,
@@ -567,7 +560,6 @@ Simulator::finishJob(Tick now)
         }
     }
 
-    executedScratch = std::move(activeJob->executed);
     activeJob.reset();
 }
 

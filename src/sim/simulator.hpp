@@ -165,7 +165,6 @@ class Simulator
         std::size_t taskPos = 0;
         Tick jobStart = 0;
         Tick taskStart = 0;
-        std::vector<bool> executed;
         /** IBO drop total when the job began (for outcome events). */
         std::uint64_t dropsAtStart = 0;
     };
@@ -193,10 +192,14 @@ class Simulator
                            Tick &nextCapture);
     /// @}
 
-    /** Charge pending telemetry self-cost (see SimulationConfig). */
+    /**
+     * Charge pending telemetry self-cost (see SimulationConfig); only
+     * observed runs call it.
+     */
     void chargeTelemetry();
 
     void processCapture(Tick now);
+    /** One scheduling round; the buffer must hold an input. */
     void tryBeginJob(Tick now);
     void startNextTask(Tick now);
     void onTaskFinished(Tick now);
@@ -211,7 +214,9 @@ class Simulator
 
     /**
      * Emit power-failure / recharge deltas since the last call when
-     * the run is observed; advance the watermark (obsDevice) always.
+     * the recorder is enabled, and advance the watermark (obsDevice).
+     * Called only on observed runs: an unobserved run's watermark is
+     * device.stats() itself, which saveCheckpoint writes in its place.
      */
     void recordDeviceObs();
 
@@ -237,17 +242,14 @@ class Simulator
     trace::EventTrace::Cursor captureCursor;
 
     std::optional<ActiveJob> activeJob;
-    /**
-     * Recycled backing storage for ActiveJob::executed, so beginning
-     * a job reuses the previous job's allocation instead of paying
-     * one heap round-trip per completion.
-     */
-    std::vector<bool> executedScratch;
     bool inOverheadPhase = false;
     double overheadCarrySeconds = 0.0;
     std::uint64_t nextInputId = 1;
     util::Rng jitterRng;
-    /** Device-stats snapshot recordDeviceObs() diffs against. */
+    /**
+     * Device-stats snapshot recordDeviceObs() diffs against (stale on
+     * unobserved runs, which never read it).
+     */
     DeviceStats obsDevice;
 
     /**

@@ -4,9 +4,36 @@
 #include <cmath>
 
 #include "util/logging.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace util {
+
+void
+putRunningStats(std::string &out, const RunningStats &stats)
+{
+    const RunningStats::State s = stats.exportState();
+    wire::putVarint(out, static_cast<std::uint64_t>(s.n));
+    wire::putDouble(out, s.runningMean);
+    wire::putDouble(out, s.m2);
+    wire::putDouble(out, s.minSample);
+    wire::putDouble(out, s.maxSample);
+    wire::putDouble(out, s.total);
+}
+
+bool
+getRunningStats(wire::Reader &in, RunningStats &stats)
+{
+    RunningStats::State s;
+    std::uint64_t n = 0;
+    if (!in.getVarint(n) || !in.getDouble(s.runningMean) ||
+        !in.getDouble(s.m2) || !in.getDouble(s.minSample) ||
+        !in.getDouble(s.maxSample) || !in.getDouble(s.total))
+        return false;
+    s.n = static_cast<std::size_t>(n);
+    stats.importState(s);
+    return true;
+}
 
 void
 RunningStats::merge(const RunningStats &other)

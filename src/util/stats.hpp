@@ -8,6 +8,7 @@
 #define QUETZAL_UTIL_STATS_HPP
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 namespace quetzal {
@@ -98,6 +99,22 @@ class RunningStats
     double maxSample = 0.0;
     double total = 0.0;
 };
+
+namespace wire {
+class Reader;
+}
+
+/**
+ * @name RunningStats wire encoding
+ * The one layout every checkpoint uses for an accumulator: the
+ * sample count as a varint, then mean, m2, min, max and total as
+ * bit-exact doubles (util/wire.hpp). getRunningStats() leaves `stats`
+ * untouched and returns false on short input.
+ */
+/// @{
+void putRunningStats(std::string &out, const RunningStats &stats);
+bool getRunningStats(wire::Reader &in, RunningStats &stats);
+/// @}
 
 /**
  * Fixed-bin histogram over [lo, hi); samples outside the range land

@@ -96,9 +96,9 @@ makeMixedSystem()
 }
 
 /**
- * Estimator decorator that counts estimate() calls and forwards
- * everything else, version() and powerKey() included, so the
- * decorated estimator caches exactly like the inner one.
+ * Estimator decorator that counts estimate(), version() and
+ * powerKey() calls and forwards everything, so the decorated
+ * estimator caches exactly like the inner one.
  */
 class CountingEstimator final : public ServiceTimeEstimator
 {
@@ -124,11 +124,18 @@ class CountingEstimator final : public ServiceTimeEstimator
     }
 
     std::string name() const override { return inner->name(); }
-    std::uint64_t version() const override { return inner->version(); }
+
+    std::uint64_t
+    version() const override
+    {
+        ++versionCalls;
+        return inner->version();
+    }
 
     std::uint64_t
     powerKey(const PowerReading &power) const override
     {
+        ++powerKeyCalls;
         return inner->powerKey(power);
     }
 
@@ -141,9 +148,17 @@ class CountingEstimator final : public ServiceTimeEstimator
     /** estimate() calls so far. */
     std::uint64_t calls() const { return estimateCalls; }
 
+    /** version() calls so far. */
+    std::uint64_t versions() const { return versionCalls; }
+
+    /** powerKey() calls so far. */
+    std::uint64_t powerKeys() const { return powerKeyCalls; }
+
   private:
     std::unique_ptr<ServiceTimeEstimator> inner;
     mutable std::uint64_t estimateCalls = 0;
+    mutable std::uint64_t versionCalls = 0;
+    mutable std::uint64_t powerKeyCalls = 0;
 };
 
 /** Push a classify-stage input with the given id/capture time. */

@@ -146,14 +146,23 @@ TEST(Controller, DegradationCountsInStats)
     EXPECT_EQ(controller->stats().iboPredictions, 1u);
 }
 
-TEST(Controller, DecisionsReadCachedServiceTerms)
+/** Work counts of one QZ run with a counted estimator. */
+struct CountedRun
 {
-    // A host-independent work counter for the decision path: QZ on
-    // the more-crowded environment, its estimator wrapped in a
-    // counter. Alg. 1 and Alg. 2 read E[S] terms that are re-derived
-    // only when the power code or a probability changes, so a run
-    // needs a small fraction of one estimate() per decision (a
-    // per-decision re-derivation costs two or more).
+    std::uint64_t decisions = 0;
+    std::uint64_t estimates = 0;
+    std::uint64_t versions = 0;
+    std::uint64_t powerKeys = 0;
+};
+
+/**
+ * A host-independent work counter for the decision path: QZ on the
+ * more-crowded environment (40 events, seed 1), its estimator wrapped
+ * in a counter.
+ */
+CountedRun
+runCountedQuetzal()
+{
     sim::ExperimentConfig config;
     config.environment = trace::EnvironmentPreset::MoreCrowded;
     config.eventCount = 40;
@@ -178,12 +187,38 @@ TEST(Controller, DecisionsReadCachedServiceTerms)
     sim::Simulator simulator(config.sim, profile, appModel, system,
                              controller, watts, events);
     simulator.run();
+    return CountedRun{controller.stats().invocations, counter.calls(),
+                      counter.versions(), counter.powerKeys()};
+}
 
-    const std::uint64_t decisions = controller.stats().invocations;
-    ASSERT_GT(decisions, 1000u);
-    EXPECT_LE(static_cast<double>(counter.calls()),
-              0.2 * static_cast<double>(decisions))
-        << counter.calls() << " estimate() calls over " << decisions
+TEST(Controller, DecisionsReadCachedServiceTerms)
+{
+    // Alg. 1 and Alg. 2 read E[S] terms that are re-derived only when
+    // the power code or a probability changes, so a run needs a small
+    // fraction of one estimate() per decision (a per-decision
+    // re-derivation costs two or more).
+    const CountedRun run = runCountedQuetzal();
+    ASSERT_GT(run.decisions, 1000u);
+    EXPECT_LE(static_cast<double>(run.estimates),
+              0.2 * static_cast<double>(run.decisions))
+        << run.estimates << " estimate() calls over " << run.decisions
+        << " decisions";
+}
+
+TEST(Controller, RoundsDeriveTheTermKeyOnce)
+{
+    // Every E[S] read of one decision shares the round's estimator and
+    // reading, so the table's key (version(), powerKey()) is derived
+    // at most once per decision however many jobs Alg. 1 ranks and
+    // options Alg. 2 walks (keying every read costs about 4.5).
+    const CountedRun run = runCountedQuetzal();
+    ASSERT_GT(run.decisions, 1000u);
+    const auto decisions = static_cast<double>(run.decisions);
+    EXPECT_LE(static_cast<double>(run.versions), decisions)
+        << run.versions << " version() calls over " << run.decisions
+        << " decisions";
+    EXPECT_LE(static_cast<double>(run.powerKeys), decisions)
+        << run.powerKeys << " powerKey() calls over " << run.decisions
         << " decisions";
 }
 

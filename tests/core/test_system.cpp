@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <deque>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "core_test_fixtures.hpp"
 
@@ -223,6 +227,174 @@ TEST(TaskSystem, ServiceTermsChangeOnlyWithTheirInputs)
     EXPECT_EQ(counting.calls(), 4 * table);
 }
 
+/** Every entry of `terms` is the product a fresh table would hold. */
+void
+expectFreshTerms(const TaskSystem &system, const double *terms,
+                 const ServiceTimeEstimator &estimator,
+                 const PowerReading &power)
+{
+    for (const Task &task : system.tasks()) {
+        for (std::size_t opt = 0; opt < task.optionCount(); ++opt) {
+            const double fresh = system.executionProbability(task.id()) *
+                estimator.estimate(task.option(opt), power);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                          terms[system.serviceTermIndex(task.id(), opt)]),
+                      std::bit_cast<std::uint64_t>(fresh))
+                << task.name() << " option " << opt;
+        }
+    }
+}
+
+TEST(TaskSystem, RoundScopeFallsBackForOtherInputs)
+{
+    TaskSystem system = makeMixedSystem();
+    for (const Job &job : system.jobs()) {
+        std::vector<bool> executed(job.tasks.size(), true);
+        executed.back() = false;
+        system.recordJobCompletion(job, executed);
+    }
+    CountingEstimator counted(std::make_unique<EnergyAwareEstimator>(true));
+    EnergyAwareEstimator twin(true); // same estimates, other instance
+    AverageServiceTimeEstimator average;
+    average.recordObservation(system.task(1).option(0), 3.5);
+    const PowerReading roundPower{2e-3, 40};
+    const PowerReading otherCode{2e-3, 90};
+    const PowerReading otherWatts{7e-3, 40};
+
+    {
+        const TaskSystem::ServiceRound round(system, counted, roundPower);
+        expectFreshTerms(system, system.serviceTerms(counted, roundPower),
+                         counted, roundPower);
+        EXPECT_EQ(counted.versions(), 1u);
+        expectFreshTerms(system, system.serviceTerms(counted, roundPower),
+                         counted, roundPower);
+        EXPECT_EQ(counted.versions(), 1u) << "in-round read keyed again";
+
+        // Another estimator instance, then the round's inputs again:
+        // the fallback re-derived the table, so the round must too.
+        expectFreshTerms(system, system.serviceTerms(average, roundPower),
+                         average, roundPower);
+        expectFreshTerms(system, system.serviceTerms(counted, roundPower),
+                         counted, roundPower);
+        expectFreshTerms(system, system.serviceTerms(twin, otherCode),
+                         twin, otherCode);
+        expectFreshTerms(system, system.serviceTerms(counted, roundPower),
+                         counted, roundPower);
+
+        // Other readings with the round's estimator: another code
+        // keys another table; equal code with other watts keys the
+        // round's table, but still takes the full check.
+        const std::uint64_t keyed = counted.powerKeys();
+        expectFreshTerms(system, system.serviceTerms(counted, otherCode),
+                         counted, otherCode);
+        expectFreshTerms(system, system.serviceTerms(counted, otherWatts),
+                         counted, otherWatts);
+        EXPECT_EQ(counted.powerKeys(), keyed + 2);
+        expectFreshTerms(system, system.serviceTerms(counted, roundPower),
+                         counted, roundPower);
+
+        // A probability that moves inside a round is seen.
+        system.recordJobCompletion(system.job(2), {true});
+        expectFreshTerms(system, system.serviceTerms(counted, roundPower),
+                         counted, roundPower);
+    }
+    // Closed: every call keys again.
+    const std::uint64_t versions = counted.versions();
+    system.serviceTerms(counted, roundPower);
+    system.serviceTerms(counted, roundPower);
+    EXPECT_EQ(counted.versions(), versions + 2);
+}
+
+TEST(TaskSystem, CompletionEpochMatchesTwoFractionReference)
+{
+    // The epoch moves when some probability's *value* moves, decided
+    // from window counts; the reference compares the two fractions as
+    // doubles. Epoch bumps are observed as term-table re-derivations.
+    for (const std::uint32_t window : {1u, 7u, 64u, 4096u}) {
+        SCOPED_TRACE(::testing::Message() << "window " << window);
+        SystemConfig config;
+        config.taskWindow = window;
+        const auto build = [&config] {
+            auto system = std::make_unique<TaskSystem>(config);
+            const TaskId a = system->addTask(
+                "a", {{"a-high", 300, 9e-3}, {"a-low", 40, 9e-3}});
+            const TaskId b = system->addTask("b", {{"b", 120, 4e-3}});
+            system->addJob("ab", {a, b});
+            system->addJob("b", {b});
+            return system;
+        };
+        auto system = build();
+        CountingEstimator counted(
+            std::make_unique<EnergyAwareEstimator>(true));
+        const PowerReading power{3e-3, 70};
+        system->serviceTerms(counted, power);
+
+        std::vector<std::deque<bool>> history(2);
+        const auto reference = [&history](std::size_t task) {
+            const std::deque<bool> &bits = history[task];
+            if (bits.empty())
+                return 1.0;
+            const auto ones = std::count(bits.begin(), bits.end(), true);
+            return static_cast<double>(ones) /
+                static_cast<double>(bits.size());
+        };
+
+        std::mt19937_64 rng(0xe90c + window);
+        const std::size_t steps = 3 * std::size_t{window} + 200;
+        // Phases of always-run, never-run and mixed flags, so all-ones
+        // and all-zeros windows (no move) and wrap-around both occur.
+        const std::uint64_t skipOdds[] = {0, 1000, 8, 2, 1000, 0};
+        std::size_t moves = 0;
+        for (std::size_t step = 0; step < steps; ++step) {
+            if (step == steps / 2) {
+                std::string saved;
+                system->saveCheckpoint(saved);
+                system = build();
+                util::wire::Reader in(saved);
+                ASSERT_TRUE(system->loadCheckpoint(in));
+                system->serviceTerms(counted, power); // restore drops it
+            }
+            const std::uint64_t odds = skipOdds[step * 6 / steps];
+            const JobId jobId = rng() % 3 == 0 ? 1 : 0;
+            const Job &job = system->job(jobId);
+            std::vector<bool> executed;
+            for (std::size_t i = 0; i < job.tasks.size(); ++i)
+                executed.push_back(odds == 0 ? true
+                                   : odds == 1000 ? false
+                                                  : rng() % odds != 0);
+            bool moved = false;
+            for (std::size_t i = 0; i < job.tasks.size(); ++i) {
+                const TaskId task = job.tasks[i];
+                const double before = reference(task);
+                history[task].push_back(executed[i]);
+                if (history[task].size() > window)
+                    history[task].pop_front();
+                moved = moved || reference(task) != before;
+            }
+            const bool allRan = std::all_of(executed.begin(),
+                                            executed.end(),
+                                            [](bool ran) { return ran; });
+            if (allRan && rng() % 2 == 0)
+                system->recordJobCompletion(job);
+            else
+                system->recordJobCompletion(job, executed);
+
+            const std::uint64_t before = counted.calls();
+            system->serviceTerms(counted, power);
+            ASSERT_EQ(counted.calls() != before, moved) << "step " << step;
+            moves += moved;
+            for (std::size_t task = 0; task < 2; ++task)
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                              system->executionProbability(
+                                  static_cast<TaskId>(task))),
+                          std::bit_cast<std::uint64_t>(reference(task)))
+                    << "step " << step << " task " << task;
+        }
+        EXPECT_GT(moves, 0u);
+        EXPECT_LT(moves, steps);
+    }
+}
+
 TEST(TaskSystem, LoadCheckpointRejectsArrivalCursorOutsideTheWindow)
 {
     SystemConfig config;
@@ -239,6 +411,29 @@ TEST(TaskSystem, LoadCheckpointRejectsArrivalCursorOutsideTheWindow)
     saved[cursorAt] = 4;
     util::wire::Reader in(saved);
     EXPECT_FALSE(s.system->loadCheckpoint(in));
+}
+
+TEST(TaskSystem, LoadCheckpointRejectsWindowStateThatDoesNotFit)
+{
+    // A 128-bit window after 100 completions: cursor at bit 100.
+    SystemConfig wide;
+    wide.taskWindow = 128;
+    auto s = makeSmallSystem(wide);
+    for (int i = 0; i < 100; ++i)
+        s.system->recordJobCompletion(s.system->job(s.classifyJob));
+    std::string saved;
+    s.system->saveCheckpoint(saved);
+
+    // A 100-bit window has as many words but no bit 100; a 64-bit
+    // one has fewer words. The window that wrote it takes it.
+    for (const std::uint32_t window : {100u, 64u, 128u}) {
+        SystemConfig config;
+        config.taskWindow = window;
+        auto restored = makeSmallSystem(config);
+        util::wire::Reader in(saved);
+        EXPECT_EQ(restored.system->loadCheckpoint(in), window == 128)
+            << "window " << window;
+    }
 }
 
 TEST(TaskSystemDeathTest, RegistrationValidation)
